@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 
-from wblinks.classify import classify, default_jobs
+from wblinks.classify import check_jobs, classify, default_jobs
 
 
 def main() -> None:
@@ -21,8 +21,13 @@ def main() -> None:
     parser.add_argument("--dim", type=int, default=4, choices=(3, 4))
     parser.add_argument("--start", type=int, default=2)
     parser.add_argument("--limit", type=int, default=128)
-    parser.add_argument("--jobs", type=int, default=default_jobs())
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker count (default: WBLINKS_JOBS, else 1)")
     args = parser.parse_args()
+    try:
+        args.jobs = default_jobs() if args.jobs is None else check_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     for bound in range(args.start, args.limit + 1):
         accepted = classify(args.dim, bound, jobs=args.jobs).accepted

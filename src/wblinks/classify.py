@@ -9,6 +9,11 @@ inequality itself, which caps the otherwise unbounded direction.
 The published answer sets are finite (4 triples, 421 quadruples) but no
 a-priori bound on the top weight is available for dimension 4; stabilization
 under bound doubling is the empirical surrogate, exposed separately.
+
+Survivors of the scan are re-run through the full pipeline (``build_link``),
+so a scan bug can only lose candidates, never add spurious ones; the
+pruned-vs-naive and scan-vs-literal-criterion tests guard the losing
+direction.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from math import comb
 
-from ._kernels import _scan_dim3, _scan_dim4
 from .link import DivContraction, Link, build_link
+from .singularity import _residue_sums_exceed
 
 DEFAULT_BOUND = 256
 
@@ -30,7 +37,6 @@ class ClassificationRun:
     bound: int
     accepted: tuple[tuple[int, ...], ...]
     shape_counts: dict[str, int]
-    stabilized: bool | None
     duration: float
 
 
@@ -50,18 +56,26 @@ def shape_of(weights: tuple[int, ...]) -> str:
 
 
 def _partitions(dim: int, bound: int):
-    if dim == 3:
-        return [(a,) for a in range(1, bound + 1)]
-    return [(a, b) for a in range(1, bound + 1) for b in range(a, bound + 1)]
+    """Ascending heads: the dim - 2 smallest weights of a candidate."""
+    return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
 def _scan_partition(args):
+    """Ascending candidates (*head, c, d), d <= bound, that survive the scan.
+
+    The interior-movable inequality (dim + 1) * c > sum(weights) - 1 caps
+    the top weight at d <= dim * c - sum(head); the blowup terminality test
+    is the residue-sum criterion at index sum(weights) - 1.
+    """
     dim, bound, head = args
-    if dim == 3:
-        (a,) = head
-        return [(a, b, c) for b, c in _scan_dim3(a, bound)]
-    a, b = head
-    return [(a, b, c, d) for c, d in _scan_dim4(a, b, bound)]
+    h = sum(head)
+    out = []
+    for c in range(head[-1], bound + 1):
+        for d in range(c, min(bound, dim * c - h) + 1):
+            ws = head + (c, d)
+            if _residue_sums_exceed(ws, h + c + d - 1):
+                out.append(ws)
+    return out
 
 
 def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
@@ -78,10 +92,30 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
 
 
 def default_jobs() -> int:
+    """Worker count from WBLINKS_JOBS, or 1 when it is unset."""
     env = os.environ.get("WBLINKS_JOBS")
-    if env:
-        return max(1, int(env))
-    return 1
+    return check_jobs(env, "WBLINKS_JOBS") if env else 1
+
+
+def check_jobs(jobs, source: str = "jobs") -> int:
+    """Return jobs as an int; raise ValueError unless it is an integer >= 1."""
+    try:
+        n = int(jobs)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {jobs!r}")
+    return n
+
+
+def worker_count(jobs: int, dim: int, bound: int) -> int:
+    """Processes a scan starts: jobs capped by the usable CPUs and partitions.
+
+    The fork pool starts all its workers at once, so an uncapped count would
+    start that many processes.
+    """
+    partitions = comb(bound + dim - 3, dim - 2)
+    return min(check_jobs(jobs), len(os.sched_getaffinity(0)), partitions)
 
 
 def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
@@ -94,6 +128,7 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
         raise ValueError(f"dim must be 3 or 4, got {dim}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
+    jobs = worker_count(jobs, dim, bound)
     start = time.perf_counter()
     accepted = sorted(
         ws for ws in _survivors(dim, bound, jobs)
@@ -108,7 +143,6 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
         bound=bound,
         accepted=tuple(accepted),
         shape_counts=counts,
-        stabilized=None,
         duration=time.perf_counter() - start,
     )
 

@@ -22,6 +22,7 @@ from .classify import (
     default_jobs,
     end_summary,
     stabilization_check,
+    worker_count,
 )
 from .link import DivContraction, Link, display_orientation
 from .singularity import (
@@ -216,6 +217,8 @@ def cmd_classify(args, out) -> int:
     stabilized = None
     if args.stabilize:
         stabilized = stabilization_check(args.dim, args.bound, jobs=jobs)
+    # classify validated jobs; echo the count of workers it really started
+    jobs = worker_count(jobs, args.dim, args.bound)
     inputs = {"dim": args.dim, "bound": args.bound, "jobs": jobs}
     if args.format == "json":
         doc = _record(

@@ -39,11 +39,29 @@ def is_terminal_cqs(weights, index: int) -> bool:
     r = int(index)
     if r < 1:
         raise ValueError(f"index must be positive, got {r}")
-    for k in range(1, r):
-        s = 0
+    return _residue_sums_exceed(ws, r)
+
+
+def _residue_sums_exceed(ws: tuple[int, ...], r: int) -> bool:
+    """The residue-sum criterion: s(k) > r for every k = 1,...,r-1.
+
+    Here s(k) is the sum of the residues (k * w) % r over the weights w, and
+    m(k) counts the nonzero ones.  A nonzero residue x at k is r - x at
+    r - k and a zero one stays zero, so s(k) + s(r - k) = m(k) * r.  Hence
+    s(r - k) > r iff s(k) < (m(k) - 1) * r, and it suffices to visit
+    k <= r/2 and check r < s(k) < (m(k) - 1) * r.
+
+    Inputs are not validated: ``is_terminal_cqs`` validates them first, and
+    the classification scan calls this directly with r >= 1.
+    """
+    for k in range(1, r // 2 + 1):
+        s = m = 0
         for w in ws:
-            s += (k * w) % r
-        if s <= r:
+            x = k * w % r
+            if x:
+                s += x
+                m += 1
+        if s <= r or s >= (m - 1) * r:
             return False
     return True
 

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from wblinks import Link, build_link, classify, shape_of, stabilization_check
+from wblinks.classify import _survivors, default_jobs, worker_count
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 
@@ -14,6 +15,27 @@ def naive_accepted(dim, bound):
         for ws in combinations_with_replacement(range(1, bound + 1), dim)
         if isinstance(build_link(ws, dim), Link)
     )
+
+
+def literal_survivors(dim, bound):
+    """Ascending tuples with -K interior to Mov and a terminal blowup.
+
+    Terminality is the residue-sum criterion written out over the full
+    range k = 1..V-1, independent of the package's half-range helper.
+    """
+    out = []
+    for ws in combinations_with_replacement(range(1, bound + 1), dim):
+        V = sum(ws) - 1
+        if (dim + 1) * ws[-2] > V and all(
+            sum(k * w % V for w in ws) > V for k in range(1, V)
+        ):
+            out.append(ws)
+    return out
+
+
+@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
+def test_scan_matches_literal_criterion(dim, bound):
+    assert sorted(_survivors(dim, bound, 1)) == literal_survivors(dim, bound)
 
 
 def test_p3_classification():
@@ -103,3 +125,31 @@ def test_input_validation():
         classify(5, 10)
     with pytest.raises(ValueError):
         classify(3, 1)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert worker_count(1, 4, 40) == 1
+    assert worker_count(3, 4, 40) == 3
+    assert worker_count(10_000, 4, 40) == 4  # usable CPUs
+    assert worker_count(10_000, 3, 2) == 2  # partitions: heads (1,) and (2,)
+    assert worker_count(10_000, 4, 2) == 3  # heads (1,1), (1,2) and (2,2)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        worker_count(jobs, 4, 40)
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        classify(3, 4, jobs=jobs)
+
+
+def test_default_jobs_from_env(monkeypatch):
+    monkeypatch.delenv("WBLINKS_JOBS", raising=False)
+    assert default_jobs() == 1
+    monkeypatch.setenv("WBLINKS_JOBS", "3")
+    assert default_jobs() == 3
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("WBLINKS_JOBS", bad)
+        with pytest.raises(ValueError, match="WBLINKS_JOBS must be an integer >= 1"):
+            default_jobs()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,37 @@ class TestClassify:
         )
         assert code == 0
         assert doc["result"]["stabilized"] is True
+
+    def test_dim4_bound39_matches_pinned_csv(self):
+        # The full 421-tuple answer with end kinds and targets, as written by
+        # `wblinks classify --dim 4 --bound 39 --format csv`.
+        pinned = Path(__file__).parent / "data" / "p4_bound39.csv"
+        code, text = run_cli(["classify", "--dim", "4", "--bound", "39", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        with pinned.open(newline="") as fh:
+            expected = list(csv.reader(fh))
+        assert len(expected) == 1 + 421
+        assert rows == expected
+
+    def test_jobs_echoes_workers_started(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        code, doc = run_json(["classify", "--dim", "3", "--bound", "8", "--jobs", "64"])
+        assert code == 0
+        assert doc["inputs"]["jobs"] == 1
+
+    def test_bad_jobs_exits_2(self, capsys):
+        code, text = run_cli(["classify", "--dim", "3", "--bound", "8", "--jobs", "-3"])
+        assert code == 2
+        assert text == ""
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
+
+    def test_bad_jobs_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("WBLINKS_JOBS", "abc")
+        code, text = run_cli(["classify", "--dim", "3", "--bound", "8"])
+        assert code == 2
+        assert text == ""
+        assert "WBLINKS_JOBS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
 
     def test_table_format(self):
         code, text = run_cli(["classify", "--dim", "3", "--bound", "64", "--format", "table"])
