@@ -1,19 +1,21 @@
 """Bounded exhaustive classification of link-initiating blowup weights.
 
 Candidates are generated as ascending tuples (so "up to permutation" is
-structural), pruned by the cheap interior-movable inequality, filtered by
-blowup terminality, and the survivors run through the full link pipeline.
-The top weight is bounded both by the caller's bound and by the interior
-inequality itself, which caps the otherwise unbounded direction.
+structural) and the scan keeps those that pass, in order: the cheap
+interior-movable inequality, blowup terminality, and terminality of every
+wall crossing.  The survivors run through the full link pipeline.  The top
+weight is bounded both by the caller's bound and by the interior inequality
+itself, which caps the otherwise unbounded direction.
 
 The published answer sets are finite (4 triples, 421 quadruples) but no
 a-priori bound on the top weight is available for dimension 4; stabilization
 under bound doubling is the empirical surrogate, exposed separately.
 
-Survivors of the scan are re-run through the full pipeline (``build_link``),
-so a scan bug can only lose candidates, never add spurious ones; the
-pruned-vs-naive and scan-vs-literal-criterion tests guard the losing
-direction.
+Soundness: the scan drops only tuples that ``build_link`` would reject at
+the interior, blowup or wall stage, and every survivor is re-run through
+the full pipeline (``build_link``), end model included.  So a scan bug can
+only lose candidates, never add spurious ones; the pruned-vs-naive and
+scan-vs-literal-criterion tests guard the losing direction.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .link import DivContraction, Link, build_link
+from .link import DivContraction, Fibration, Link, _walls_terminal, build_link
 from .singularity import _residue_sums_exceed
 
 DEFAULT_BOUND = 256
@@ -64,8 +66,11 @@ def _scan_partition(args):
     """Ascending candidates (*head, c, d), d <= bound, that survive the scan.
 
     The interior-movable inequality (dim + 1) * c > sum(weights) - 1 caps
-    the top weight at d <= dim * c - sum(head); the blowup terminality test
-    is the residue-sum criterion at index sum(weights) - 1.
+    the top weight at d <= dim * c - sum(head).  Blowup terminality is the
+    residue-sum criterion at index sum(weights) - 1.  Wall terminality is
+    the same criterion at every singularity index of every flip; it runs
+    last, as running it before the blowup test made the scan about twice
+    as slow.
     """
     dim, bound, head = args
     h = sum(head)
@@ -73,7 +78,7 @@ def _scan_partition(args):
     for c in range(head[-1], bound + 1):
         for d in range(c, min(bound, dim * c - h) + 1):
             ws = head + (c, d)
-            if _residue_sums_exceed(ws, h + c + d - 1):
+            if _residue_sums_exceed(ws, h + c + d - 1) and _walls_terminal(ws):
                 out.append(ws)
     return out
 
@@ -160,6 +165,11 @@ def end_summary(ws: tuple[int, ...], dim: int) -> tuple[str, tuple[int, ...]]:
     result = build_link(ws, dim)
     if not isinstance(result, Link):
         raise ValueError(f"{ws} does not initiate a link")
-    if isinstance(result.end, DivContraction):
-        return "divisorial_contraction", result.end.target_weights
-    return "fibration", result.end.fiber_weights
+    return summarize_end(result.end)
+
+
+def summarize_end(end: Fibration | DivContraction) -> tuple[str, tuple[int, ...]]:
+    """(end kind, end-model weight multiset) of a built link's end."""
+    if isinstance(end, DivContraction):
+        return "divisorial_contraction", end.target_weights
+    return "fibration", end.fiber_weights

@@ -22,6 +22,7 @@ from .classify import (
     default_jobs,
     end_summary,
     stabilization_check,
+    summarize_end,
     worker_count,
 )
 from .link import DivContraction, Link, display_orientation
@@ -44,6 +45,11 @@ DIM3_END_ANNOTATIONS = {
     (2, 3): ("(1,1,2)-Weighted blowup of a smooth point", None),
     (2, 5): ("Kawamata blowup of 1/3(1,1,2)", None),
 }
+
+
+# `check -r R` runs the pure-Python residue-sum loop over k <= R/2, which
+# takes seconds at R = 10**7; larger indices are refused before any work.
+MAX_INDEX = 10**7
 
 
 class InputError(Exception):
@@ -88,6 +94,8 @@ def cmd_check(args, out) -> int:
     if args.index is not None:
         if args.index < 1:
             raise InputError(f"index must be positive, got {args.index}")
+        if args.index > MAX_INDEX:
+            raise InputError(f"index must be at most {MAX_INDEX}, got {args.index}")
         inputs["index"] = args.index
         result = {"terminal_cqs": is_terminal_cqs(weights, args.index)}
     else:
@@ -268,7 +276,7 @@ def render_report(dim: int, bound: int, jobs: int = 1) -> str:
             "(" + ",".join(str(x) for x in display_orientation(s.flip_weights)) + ")"
             for s in link.steps
         )
-        kind, target = end_summary(ws, dim)
+        kind, target = summarize_end(link.end)
         model = f"P({','.join(map(str, target))})"
         if dim == 3:
             end_map, model_override = DIM3_END_ANNOTATIONS.get(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .singularity import is_terminal_blowup, is_terminal_wps
+from .singularity import _wps_terminal, is_terminal_blowup, is_terminal_wps
 from .toric import BlowupVariety, antik_in_interior_mov
 
 STAGE_BLOWUP = "blowup_not_terminal"
@@ -67,13 +67,34 @@ class Rejected:
 LinkResult = Link | Rejected
 
 
+def _interior_walls(ws: tuple[int, ...]) -> list[int]:
+    """Distinct values below the second-largest of an ascending tuple."""
+    return sorted(set(v for v in ws if v < ws[-2]))
+
+
+def _flip_weights(ws: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Flip weights at the wall H - vE of an ascending tuple; v not checked."""
+    rest = list(ws)
+    rest.remove(v)
+    return tuple(sorted([-1, -v] + [w - v for w in rest]))
+
+
+def _walls_terminal(ws: tuple[int, ...]) -> bool:
+    """True iff every wall crossing of the ascending tuple ws is terminal.
+
+    Not validated: the classification scan calls this on its own ascending
+    candidates, and ``build_link`` runs the same check one wall at a time.
+    """
+    return all(_wps_terminal(_flip_weights(ws, v)) for v in _interior_walls(ws))
+
+
 def interior_walls(T: BlowupVariety) -> list[int]:
     """Distinct weight values strictly below the second-largest weight.
 
     Each is one wall of the chamber decomposition crossed by one small
     modification on the way from Nef(T) to the far boundary of Mov(T).
     """
-    return sorted(set(v for v in T.weights if v < T.second_largest))
+    return _interior_walls(T.weights)
 
 
 def wall_flip_weights(T: BlowupVariety, v: int) -> tuple[int, ...]:
@@ -83,11 +104,9 @@ def wall_flip_weights(T: BlowupVariety, v: int) -> tuple[int, ...]:
     with one occurrence of v removed.  Zeros occur exactly when v is a
     repeated weight (fibre-wise modification).
     """
-    if v not in interior_walls(T):
+    if v not in _interior_walls(T.weights):
         raise ValueError(f"{v} is not an interior wall of {T}")
-    rest = list(T.weights)
-    rest.remove(v)
-    return tuple(sorted([-1, -v] + [w - v for w in rest]))
+    return _flip_weights(T.weights, v)
 
 
 def display_orientation(flip_weights) -> tuple[int, ...]:
@@ -129,8 +148,8 @@ def build_link(weights, dim: int) -> LinkResult:
     if not antik_in_interior_mov(T):
         return Rejected(STAGE_INTERIOR, None, f"weights={T.weights}")
     steps = []
-    for v in interior_walls(T):
-        flip = wall_flip_weights(T, v)
+    for v in _interior_walls(T.weights):
+        flip = _flip_weights(T.weights, v)
         if not is_terminal_wps(flip):
             return Rejected(STAGE_WALL, v, f"flip_weights={flip}")
         steps.append(FlipStep(wall=v, flip_weights=flip, terminal=True))

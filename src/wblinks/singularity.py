@@ -80,6 +80,32 @@ def is_terminal_blowup(weights) -> bool:
     return is_terminal_cqs(ws, sum(ws) - 1)
 
 
+def _validate_wps(weights) -> tuple[int, ...]:
+    ws = _validate_weights(weights)
+    big = sum(1 for w in ws if w > 1)
+    if big > _SUBSET_CAP:
+        raise ValueError(
+            f"too many entries > 1 ({big} > {_SUBSET_CAP}); "
+            "subset-gcd enumeration would be intractable"
+        )
+    return ws
+
+
+def _subset_gcds(ws: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending gcds g > 1 of the nonempty subsets of the entries > 1.
+
+    Inputs are not validated: the public callers check them first, and the
+    classification scan calls this (through ``_wps_terminal``) directly.
+    """
+    # Incremental subset-gcd closure: after processing x, `seen` holds the
+    # gcd of every nonempty subset processed so far.
+    seen: set[int] = set()
+    for x in ws:
+        if x > 1:
+            seen |= {gcd(x, g) for g in seen} | {x}
+    return tuple(sorted(g for g in seen if g > 1))
+
+
 def singularity_indices(weights) -> tuple[int, ...]:
     """Indices of the singularities of the weighted projective space P(weights).
 
@@ -87,19 +113,12 @@ def singularity_indices(weights) -> tuple[int, ...]:
     of the entries strictly greater than 1.  Entries <= 1 (zeros, negatives)
     never contribute.
     """
-    ws = _validate_weights(weights)
-    big = [w for w in ws if w > 1]
-    if len(big) > _SUBSET_CAP:
-        raise ValueError(
-            f"too many entries > 1 ({len(big)} > {_SUBSET_CAP}); "
-            "subset-gcd enumeration would be intractable"
-        )
-    # Incremental subset-gcd closure: after processing x, `seen` holds the
-    # gcd of every nonempty subset processed so far.
-    seen: set[int] = set()
-    for x in big:
-        seen |= {gcd(x, g) for g in seen} | {x}
-    return tuple(sorted(g for g in seen if g > 1))
+    return _subset_gcds(_validate_wps(weights))
+
+
+def _wps_terminal(ws: tuple[int, ...]) -> bool:
+    """The residue-sum criterion at every singularity index; not validated."""
+    return all(_residue_sums_exceed(ws, g) for g in _subset_gcds(ws))
 
 
 def is_terminal_wps(weights) -> bool:
@@ -108,8 +127,7 @@ def is_terminal_wps(weights) -> bool:
     Checks the residue-sum criterion at every singularity index of the list.
     Vacuously true when there are no indices.
     """
-    ws = _validate_weights(weights)
-    return all(is_terminal_cqs(ws, g) for g in singularity_indices(ws))
+    return _wps_terminal(_validate_wps(weights))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 import pytest
 
-from wblinks import Link, build_link, classify, shape_of, stabilization_check
+from wblinks import Link, Rejected, build_link, classify, shape_of, stabilization_check
 from wblinks.classify import _survivors, default_jobs, worker_count
+from wblinks.link import STAGE_WALL
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 
@@ -17,25 +20,65 @@ def naive_accepted(dim, bound):
     )
 
 
-def literal_survivors(dim, bound):
-    """Ascending tuples with -K interior to Mov and a terminal blowup.
+def literal_terminal(ws, r):
+    """The residue-sum criterion over the full range k = 1..r-1."""
+    return all(sum(k * w % r for w in ws) > r for k in range(1, r))
 
-    Terminality is the residue-sum criterion written out over the full
-    range k = 1..V-1, independent of the package's half-range helper.
+
+def literal_walls_terminal(ws):
+    """Every wall flip of the ascending tuple ws is terminal.
+
+    For each distinct v < ws[-2] the flip is [-1, -v] plus w - v over ws
+    with one v removed; it is terminal iff the criterion holds at the gcd
+    of every subset of its entries > 1.
     """
+    for v in sorted(set(w for w in ws if w < ws[-2])):
+        rest = list(ws)
+        rest.remove(v)
+        flip = [-1, -v] + [w - v for w in rest]
+        big = [x for x in flip if x > 1]
+        for n in range(1, len(big) + 1):
+            for subset in combinations(big, n):
+                g = reduce(gcd, subset)
+                if g > 1 and not literal_terminal(flip, g):
+                    return False
+    return True
+
+
+def literal_blowup_survivors(dim, bound):
+    """Ascending tuples with -K interior to Mov and a terminal blowup."""
     out = []
     for ws in combinations_with_replacement(range(1, bound + 1), dim):
         V = sum(ws) - 1
-        if (dim + 1) * ws[-2] > V and all(
-            sum(k * w % V for w in ws) > V for k in range(1, V)
-        ):
+        if (dim + 1) * ws[-2] > V and literal_terminal(ws, V):
             out.append(ws)
     return out
+
+
+def literal_survivors(dim, bound):
+    """Blowup survivors whose wall crossings are all terminal.
+
+    Written out independently of the package's half-range helper, subset-gcd
+    closure and flip formula.
+    """
+    return [
+        ws for ws in literal_blowup_survivors(dim, bound) if literal_walls_terminal(ws)
+    ]
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_matches_literal_criterion(dim, bound):
     assert sorted(_survivors(dim, bound, 1)) == literal_survivors(dim, bound)
+
+
+@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
+def test_scan_drops_only_wall_rejections(dim, bound):
+    kept = set(_survivors(dim, bound, 1))
+    dropped = [ws for ws in literal_blowup_survivors(dim, bound) if ws not in kept]
+    assert dropped
+    for ws in dropped:
+        result = build_link(ws, dim)
+        assert isinstance(result, Rejected) and result.stage == STAGE_WALL, ws
 
 
 def test_p3_classification():

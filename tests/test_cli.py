@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from wblinks.cli import main
+from wblinks.cli import main, render_report
 
 
 def run_cli(argv):
@@ -50,6 +51,14 @@ class TestCheck:
     def test_bad_index_exits_2(self):
         code, _ = run_cli(["check", "-w", "1,2", "-r", "0"])
         assert code == 2
+
+    def test_index_above_cap_exits_2_before_any_work(self, capsys):
+        started = time.perf_counter()
+        code, text = run_cli(["check", "--weights=1,-1,2,3", "-r", "10000001"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert text == ""
+        assert "index must be at most 10000000" in capsys.readouterr().err
 
 
 class TestLink:
@@ -213,6 +222,25 @@ class TestReport:
             "| (1,2,5) | (1,1,-1,-4) | Kawamata blowup of 1/3(1,1,2) "
             "| P(1,3,4,5) |" in text
         )
+
+    def test_dim4_bound39_models_match_pinned_csv(self):
+        pinned = Path(__file__).parent / "data" / "p4_bound39.csv"
+        with pinned.open(newline="") as fh:
+            expected = list(csv.reader(fh))[1:]
+        rows = [
+            line for line in render_report(4, 39).splitlines()
+            if line.startswith("| (")
+        ]
+        assert len(rows) == len(expected) == 421
+        for line, (ws, kind, target) in zip(rows, expected):
+            weights, _, end_map, model = (c.strip() for c in line.strip("|").split("|"))
+            assert weights == "(" + ws.replace(":", ",") + ")"
+            target = "P(" + target.replace(":", ",") + ")"
+            if kind == "fibration":
+                assert end_map == "Fibration"
+                assert model.startswith(target + "-fibration over P^")
+            else:
+                assert (end_map, model) == ("Divisorial Contraction", target)
 
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])

@@ -104,6 +104,14 @@ def test_blowup_cqs_bridge(ws):
     assert is_terminal_blowup(ws) == is_terminal_cqs(ws, sum(ws) - 1)
 
 
+@MANY
+@given(weight_lists)
+def test_wps_is_cqs_at_every_index(ws):
+    assert is_terminal_wps(ws) == all(
+        is_terminal_cqs(ws, g) for g in singularity_indices(ws)
+    )
+
+
 def test_kawakita_dimension3_consistency():
     # terminal triples are exactly (1,a,b) with gcd(a,b)=1, entries <= 30
     checked = 0

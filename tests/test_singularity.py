@@ -8,6 +8,7 @@ from wblinks import (
     is_terminal_wps,
     singularity_indices,
 )
+from wblinks.singularity import _SUBSET_CAP
 
 
 class TestTerminalCqs:
@@ -76,6 +77,13 @@ class TestTerminalWps:
 
     def test_terminal_end_model(self):
         assert is_terminal_wps([1, 3, 4, 5]) is True
+
+    def test_subset_cap(self):
+        assert is_terminal_wps([-1] + [2] * _SUBSET_CAP) is False
+        with pytest.raises(ValueError, match="too many entries > 1"):
+            is_terminal_wps([-1] + [2] * (_SUBSET_CAP + 1))
+        with pytest.raises(ValueError, match="too many entries > 1"):
+            singularity_indices([2] * (_SUBSET_CAP + 1))
 
 
 class TestExceptionalPatches:
