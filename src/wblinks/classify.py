@@ -9,7 +9,9 @@ itself, which caps the otherwise unbounded direction.
 
 The published answer sets are finite (4 triples, 421 quadruples) but no
 a-priori bound on the top weight is available for dimension 4; stabilization
-under bound doubling is the empirical surrogate, exposed separately.
+under bound doubling is the empirical surrogate.  Acceptance does not depend
+on the bound, so the run at 2B holds the run at B (its tuples with top
+weight <= B) and one scan at 2B answers both questions.
 
 Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
@@ -21,7 +23,6 @@ scan-vs-literal-criterion tests guard the losing direction.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -35,11 +36,38 @@ DEFAULT_BOUND = 256
 
 @dataclass(frozen=True)
 class ClassificationRun:
+    """Accepted tuples of one scan, each with its link; jobs is the workers used."""
+
     dim: int
     bound: int
     accepted: tuple[tuple[int, ...], ...]
+    links: tuple[Link, ...]
     shape_counts: dict[str, int]
-    duration: float
+    jobs: int
+
+    def restrict(self, bound: int) -> ClassificationRun:
+        """The run at a smaller bound: the tuples with top weight <= bound."""
+        if bound > self.bound:
+            raise ValueError(f"a run at bound {self.bound} cannot restrict to {bound}")
+        kept = [(ws, link) for ws, link in zip(self.accepted, self.links)
+                if ws[-1] <= bound]
+        return _run(self.dim, bound, kept, self.jobs)
+
+
+def _run(dim, bound, pairs, jobs) -> ClassificationRun:
+    """A run from ascending-sorted (weights, link) pairs, with shape counts."""
+    counts: dict[str, int] = {}
+    for ws, _ in pairs:
+        key = shape_of(ws)
+        counts[key] = counts.get(key, 0) + 1
+    return ClassificationRun(
+        dim=dim,
+        bound=bound,
+        accepted=tuple(ws for ws, _ in pairs),
+        links=tuple(link for _, link in pairs),
+        shape_counts=counts,
+        jobs=jobs,
+    )
 
 
 def shape_of(weights: tuple[int, ...]) -> str:
@@ -113,6 +141,12 @@ def check_jobs(jobs, source: str = "jobs") -> int:
     return n
 
 
+def _check_bound(bound: int) -> None:
+    """Raise ValueError unless bound >= 2, the least bound classify scans."""
+    if bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
+
+
 def worker_count(jobs: int, dim: int, bound: int) -> int:
     """Processes a scan starts: jobs capped by the usable CPUs and partitions.
 
@@ -131,44 +165,31 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     """
     if dim not in (3, 4):
         raise ValueError(f"dim must be 3 or 4, got {dim}")
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    _check_bound(bound)
     jobs = worker_count(jobs, dim, bound)
-    start = time.perf_counter()
-    accepted = sorted(
-        ws for ws in _survivors(dim, bound, jobs)
-        if isinstance(build_link(ws, dim), Link)
-    )
-    counts: dict[str, int] = {}
-    for ws in accepted:
-        key = shape_of(ws)
-        counts[key] = counts.get(key, 0) + 1
-    return ClassificationRun(
-        dim=dim,
-        bound=bound,
-        accepted=tuple(accepted),
-        shape_counts=counts,
-        duration=time.perf_counter() - start,
-    )
+    pairs = [(ws, build_link(ws, dim)) for ws in sorted(_survivors(dim, bound, jobs))]
+    return _run(dim, bound, [p for p in pairs if isinstance(p[1], Link)], jobs)
+
+
+def classify_stable(
+    dim: int, bound: int, jobs: int = 1
+) -> tuple[ClassificationRun, bool]:
+    """The run at bound, and whether its accepted set equals the one at 2 * bound.
+
+    One scan at 2 * bound: the set is stable iff no tuple accepted there has
+    top weight in (bound, 2 * bound].
+    """
+    _check_bound(bound)
+    run = classify(dim, 2 * bound, jobs)
+    return run.restrict(bound), all(ws[-1] <= bound for ws in run.accepted)
 
 
 def stabilization_check(dim: int, bound: int, jobs: int = 1) -> bool:
     """True iff the accepted set is unchanged when the bound doubles."""
-    return (
-        classify(dim, bound, jobs).accepted
-        == classify(dim, 2 * bound, jobs).accepted
-    )
+    return classify_stable(dim, bound, jobs)[1]
 
 
-def end_summary(ws: tuple[int, ...], dim: int) -> tuple[str, tuple[int, ...]]:
-    """(end kind, end-model weight multiset) for an accepted tuple."""
-    result = build_link(ws, dim)
-    if not isinstance(result, Link):
-        raise ValueError(f"{ws} does not initiate a link")
-    return summarize_end(result.end)
-
-
-def summarize_end(end: Fibration | DivContraction) -> tuple[str, tuple[int, ...]]:
+def end_summary(end: Fibration | DivContraction) -> tuple[str, tuple[int, ...]]:
     """(end kind, end-model weight multiset) of a built link's end."""
     if isinstance(end, DivContraction):
         return "divisorial_contraction", end.target_weights

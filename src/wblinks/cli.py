@@ -19,11 +19,9 @@ import time
 from .classify import (
     DEFAULT_BOUND,
     classify,
+    classify_stable,
     default_jobs,
     end_summary,
-    stabilization_check,
-    summarize_end,
-    worker_count,
 )
 from .link import DivContraction, Link, display_orientation
 from .singularity import (
@@ -197,8 +195,8 @@ def _classify_csv(run) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["weights", "end_kind", "target"])
-    for ws in run.accepted:
-        kind, target = end_summary(ws, run.dim)
+    for ws, link in zip(run.accepted, run.links):
+        kind, target = end_summary(link.end)
         writer.writerow([_wformat(ws), kind, _wformat(target)])
     return buf.getvalue()
 
@@ -208,8 +206,8 @@ def _classify_table(run, stabilized) -> str:
     if stabilized is not None:
         lines.append(f"stabilized={stabilized}")
     lines.append("")
-    for ws in run.accepted:
-        kind, target = end_summary(ws, run.dim)
+    for ws, link in zip(run.accepted, run.links):
+        kind, target = end_summary(link.end)
         lines.append(f"({','.join(map(str, ws))})  {kind}  P({','.join(map(str, target))})")
     lines.append("")
     lines.append("shape counts:")
@@ -221,13 +219,11 @@ def _classify_table(run, stabilized) -> str:
 def cmd_classify(args, out) -> int:
     started = time.perf_counter()
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    run = classify(args.dim, args.bound, jobs=jobs)
-    stabilized = None
     if args.stabilize:
-        stabilized = stabilization_check(args.dim, args.bound, jobs=jobs)
-    # classify validated jobs; echo the count of workers it really started
-    jobs = worker_count(jobs, args.dim, args.bound)
-    inputs = {"dim": args.dim, "bound": args.bound, "jobs": jobs}
+        run, stabilized = classify_stable(args.dim, args.bound, jobs=jobs)
+    else:
+        run, stabilized = classify(args.dim, args.bound, jobs=jobs), None
+    inputs = {"dim": args.dim, "bound": args.bound, "jobs": run.jobs}
     if args.format == "json":
         doc = _record(
             "classify", inputs, _classify_payload(run, stabilized), started
@@ -262,21 +258,18 @@ def cmd_classify(args, out) -> int:
 def render_report(dim: int, bound: int, jobs: int = 1) -> str:
     """Markdown table of all accepted links at the given bound."""
     run = classify(dim, bound, jobs=jobs)
-    from .link import build_link
-
     lines = [
         f"# Sarkisov links from weighted blowups of P^{dim} (bound {bound})",
         "",
         "| weights | flip steps | end map | model |",
         "| --- | --- | --- | --- |",
     ]
-    for ws in run.accepted:
-        link = build_link(ws, dim)
+    for ws, link in zip(run.accepted, run.links):
         steps = "; ".join(
             "(" + ",".join(str(x) for x in display_orientation(s.flip_weights)) + ")"
             for s in link.steps
         )
-        kind, target = summarize_end(link.end)
+        kind, target = end_summary(link.end)
         model = f"P({','.join(map(str, target))})"
         if dim == 3:
             end_map, model_override = DIM3_END_ANNOTATIONS.get(

@@ -92,7 +92,6 @@ class MoriStructure:
     mov_lo: DivisorClass
     mov_hi: DivisorClass
     nef_chambers: tuple[tuple[DivisorClass, DivisorClass], ...]
-    walls: tuple[int, ...]
     mov_boundary_big: bool
 
 
@@ -113,7 +112,6 @@ def mori_structure(T: BlowupVariety) -> MoriStructure:
         mov_lo=H,
         mov_hi=DivisorClass(1, -T.second_largest),
         nef_chambers=chambers,
-        walls=tuple(v for v in boundary_values if v < T.second_largest),
         mov_boundary_big=T.second_largest < a[-1],
     )
 

@@ -36,8 +36,8 @@ from wblinks.toric import (
 from wblinks.cli import render_report
 
 # Smallest bound at which the dimension-4 count stabilizes (equal accepted
-# sets at the bound and at twice the bound); measured by
-# scripts/find_stable_bound.py.
+# sets at the bound and at twice the bound); checked by
+# `wblinks classify --dim 4 --bound 39 --stabilize`.
 STABLE_BOUND_DIM4 = 39
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))

@@ -163,6 +163,22 @@ def test_stabilization_p3():
     assert stabilization_check(3, 64) is True
 
 
+def test_run_keeps_the_links_it_built():
+    run = classify(3, 64)
+    assert len(run.links) == len(run.accepted)
+    for ws, link in zip(run.accepted, run.links):
+        assert link == build_link(ws, 3)
+
+
+@pytest.mark.parametrize("dim, top, bounds", [(3, 64, range(2, 33)), (4, 24, (2, 5, 12))])
+def test_restrict_equals_scan_at_smaller_bound(dim, top, bounds):
+    run = classify(dim, top)
+    for bound in bounds:
+        assert run.restrict(bound) == classify(dim, bound)
+    with pytest.raises(ValueError):
+        run.restrict(top + 1)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         classify(5, 10)

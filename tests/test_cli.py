@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import time
@@ -7,6 +8,24 @@ from pathlib import Path
 import pytest
 
 from wblinks.cli import main, render_report
+
+PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Record each scan as (dim, bound, jobs) and run it serially, no pool."""
+    # the package's `classify` attribute is the function, so look the module up
+    module = importlib.import_module("wblinks.classify")
+    real = module._survivors
+    calls = []
+
+    def record(dim, bound, jobs):
+        calls.append((dim, bound, jobs))
+        return real(dim, bound, 1)
+
+    monkeypatch.setattr(module, "_survivors", record)
+    return calls
 
 
 def run_cli(argv):
@@ -169,6 +188,51 @@ class TestClassify:
         )
         assert code == 0
         assert doc["result"]["stabilized"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stabilize_scans_once_at_twice_the_bound(self, scans, fmt):
+        code, _ = run_cli(
+            ["classify", "--dim", "3", "--bound", "16", "--stabilize", "--format", fmt]
+        )
+        assert code == 0
+        assert scans == [(3, 32, 1)]
+
+    def test_stabilize_bad_bound_exits_2_before_any_scan(self, scans, capsys):
+        code, text = run_cli(["classify", "--dim", "3", "--bound", "1", "--stabilize"])
+        assert code == 2
+        assert text == "" and scans == []
+        assert "bound must be >= 2, got 1" in capsys.readouterr().err
+
+    def test_stabilize_echoes_the_workers_of_its_scan(self, scans, monkeypatch):
+        # 2 partitions at bound 2 but 4 at bound 4, where the scan runs
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
+        code, doc = run_json(
+            ["classify", "--dim", "3", "--bound", "2", "--jobs", "8", "--stabilize"]
+        )
+        assert code == 0
+        assert scans == [(3, 4, 4)]
+        assert doc["inputs"]["jobs"] == 4
+
+    def test_stabilize_small_bound_keeps_the_answer_at_the_bound(self):
+        argv = ["classify", "--dim", "3", "--bound", "2"]
+        _, plain = run_json(argv)
+        code, stab = run_json(argv + ["--stabilize"])
+        assert code == 0
+        assert stab["result"]["stabilized"] is False
+        assert plain["result"]["stabilized"] is None
+        assert stab["result"]["accepted"] == plain["result"]["accepted"]
+        assert stab["result"]["shape_counts"] == plain["result"]["shape_counts"]
+
+    def test_dim4_bound16_stabilize_csv_matches_pinned_rows(self):
+        code, text = run_cli(
+            ["classify", "--dim", "4", "--bound", "16", "--stabilize", "--format", "csv"]
+        )
+        assert code == 0
+        with PINNED_P4.open(newline="") as fh:
+            header, *pinned = csv.reader(fh)
+        expected = [row for row in pinned if int(row[0].split(":")[-1]) <= 16]
+        assert len(expected) == 228
+        assert list(csv.reader(io.StringIO(text))) == [header] + expected
 
     def test_dim4_bound39_matches_pinned_csv(self):
         # The full 421-tuple answer with end kinds and targets, as written by

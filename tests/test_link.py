@@ -18,6 +18,7 @@ def test_interior_walls():
     assert interior_walls(BlowupVariety(3, (1, 2, 3))) == [1]
     assert interior_walls(BlowupVariety(4, (2, 3, 5, 5))) == [2, 3]
     assert interior_walls(BlowupVariety(4, (1, 1, 1, 2))) == []
+    assert interior_walls(BlowupVariety(3, (1, 1, 1))) == []
 
 
 class TestWallFlipWeights:

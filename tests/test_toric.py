@@ -47,7 +47,6 @@ class TestMoriStructure:
             (H, DivisorClass(1, -1)),
             (DivisorClass(1, -1), DivisorClass(1, -2)),
         )
-        assert ms.walls == (1,)
         assert (ms.eff_lo, ms.eff_hi) == (DivisorClass(0, 1), DivisorClass(1, -3))
         assert ms.mov_boundary_big
 
@@ -55,14 +54,12 @@ class TestMoriStructure:
         ms = mori_structure(BlowupVariety(3, (1, 1, 1)))
         assert (ms.mov_lo, ms.mov_hi) == (H, DivisorClass(1, -1))
         assert ms.nef_chambers == ((H, DivisorClass(1, -1)),)
-        assert ms.walls == ()
         assert not ms.mov_boundary_big
 
     def test_three_chambers(self):
         ms = mori_structure(BlowupVariety(4, (2, 3, 5, 5)))
         assert (ms.mov_lo, ms.mov_hi) == (H, DivisorClass(1, -5))
         assert len(ms.nef_chambers) == 3
-        assert ms.walls == (2, 3)
         assert not ms.mov_boundary_big
 
     def test_first_chamber_is_nef(self):
