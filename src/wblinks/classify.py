@@ -23,7 +23,6 @@ scan-vs-literal-criterion tests guard the losing direction.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -112,10 +111,17 @@ def _scan_partition(args):
 
 
 def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
+    """Scan survivors in partition order, serially or on jobs workers.
+
+    The process pool is imported here, not at module level: it pulls in
+    about 40 modules that every serial command would otherwise load at start.
+    """
     tasks = [(dim, bound, head) for head in _partitions(dim, bound)]
     if jobs <= 1:
         chunks = map(_scan_partition, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_scan_partition, tasks, chunksize=16))
     out: list[tuple[int, ...]] = []

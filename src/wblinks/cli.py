@@ -45,13 +45,19 @@ DIM3_END_ANNOTATIONS = {
 }
 
 
-# `check -r R` runs the pure-Python residue-sum loop over k <= R/2, which
-# takes seconds at R = 10**7; larger indices are refused before any work.
+# `check` and `link` run the pure-Python residue-sum loop over k <= R/2 at
+# each index R they test, which takes seconds at R = 10**7; larger indices
+# are refused before any work.
 MAX_INDEX = 10**7
 
 
 class InputError(Exception):
     pass
+
+
+def _check_index(index: int, what: str) -> None:
+    if index > MAX_INDEX:
+        raise InputError(f"{what} must be at most {MAX_INDEX}, got {index}")
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -92,17 +98,21 @@ def cmd_check(args, out) -> int:
     if args.index is not None:
         if args.index < 1:
             raise InputError(f"index must be positive, got {args.index}")
-        if args.index > MAX_INDEX:
-            raise InputError(f"index must be at most {MAX_INDEX}, got {args.index}")
+        _check_index(args.index, "index")
         inputs["index"] = args.index
         result = {"terminal_cqs": is_terminal_cqs(weights, args.index)}
     else:
+        # Singularity indices are gcds of entries > 1, so at most the largest.
+        _check_index(max(weights), "largest weight")
+        blowup = all(w >= 1 for w in weights) and len(weights) >= 2
+        if blowup:
+            _check_index(sum(weights) - 1, "blowup index sum(weights) - 1")
         result = {
             "weights_sorted": sorted(weights),
             "singularity_indices": list(singularity_indices(weights)),
             "wps_terminal": is_terminal_wps(weights),
         }
-        if all(w >= 1 for w in weights) and len(weights) >= 2:
+        if blowup:
             T = BlowupVariety(len(weights), weights)
             result.update(
                 {
@@ -166,6 +176,7 @@ def cmd_link(args, out) -> int:
         raise InputError(f"expected {args.dim} weights, got {len(weights)}")
     if any(w < 1 for w in weights):
         raise InputError(f"blowup weights must be positive: {list(weights)}")
+    _check_index(sum(weights) - 1, "blowup index sum(weights) - 1")
     inputs = {"weights": list(weights), "dim": args.dim}
     result = _serialize_link(build_link(weights, args.dim))
     result["weights_sorted"] = sorted(weights)

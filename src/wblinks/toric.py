@@ -14,7 +14,6 @@ weight value v.  All cone data are exact integer pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 FANO = "fano"
@@ -142,6 +141,9 @@ def is_weak_fano(T: BlowupVariety) -> str:
 
 def antik_degree(T: BlowupVariety) -> Fraction:
     """(-K_T)^d = (d+1)^d - (sum(a_i) - 1)^d / prod(a_i), exactly."""
+    # Imported here: only `check` needs it, and it loads decimal at start.
+    from fractions import Fraction
+
     d = T.dim
     return Fraction((d + 1) ** d) - Fraction((T.weight_sum - 1) ** d, prod(T.weights))
 

@@ -2,6 +2,9 @@ import csv
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -79,6 +82,20 @@ class TestCheck:
         assert text == ""
         assert "index must be at most 10000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("--weights=-1,10000001", "largest weight must be at most 10000000"),
+            ("--weights=1,1,10000001", "largest weight must be at most 10000000"),
+            ("--weights=2,10000000", "sum(weights) - 1 must be at most 10000000"),
+        ],
+    )
+    def test_index_of_weights_above_cap_exits_2(self, weights, message, capsys):
+        code, text = run_cli(["check", weights])
+        assert code == 2
+        assert text == ""
+        assert message in capsys.readouterr().err
+
 
 class TestLink:
     def test_accepted(self):
@@ -118,6 +135,14 @@ class TestLink:
     def test_length_mismatch_exits_2(self):
         code, _ = run_cli(["link", "-w", "1,2", "--dim", "3"])
         assert code == 2
+
+    def test_blowup_index_above_cap_exits_2_before_any_work(self, capsys):
+        started = time.perf_counter()
+        code, text = run_cli(["link", "--dim", "3", "-w", "1,1,10000000"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert text == ""
+        assert "sum(weights) - 1 must be at most 10000000" in capsys.readouterr().err
 
     def test_byte_identical_result(self):
         docs = [run_json(["link", "-w", "1,2,5", "--dim", "3"])[1] for _ in range(2)]
@@ -318,3 +343,29 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--dim", "3", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# Runs in a fresh interpreter; prints the modules of LAZY loaded so far,
+# once after the import and once after each serial command.
+COLD_START = """
+import io, json, sys
+from wblinks.cli import main
+
+LAZY = ("concurrent.futures", "fractions")
+loaded = [[m for m in LAZY if m in sys.modules]]
+for argv in (["classify", "--dim", "3", "--bound", "8"],
+             ["link", "--dim", "4", "-w", "1,2,3,5"]):
+    assert main(argv, out=io.StringIO()) == 0
+    loaded.append([m for m in LAZY if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_serial_commands_do_not_load_the_pool_or_fractions():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [[], [], []]
