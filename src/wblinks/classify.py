@@ -15,7 +15,8 @@ weight <= B) and one scan at 2B answers both questions.
 
 Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
-the full pipeline (``build_link``), end model included.  So a scan bug can
+those three stages, which are the whole of acceptance (a divisorial end's
+target is terminal by the proof in ``wblinks.link``).  So a scan bug can
 only lose candidates, never add spurious ones; the pruned-vs-naive and
 scan-vs-literal-criterion tests guard the losing direction.
 """
@@ -30,7 +31,9 @@ from math import comb
 from .link import DivContraction, Fibration, Link, _walls_terminal, build_link
 from .singularity import _residue_sums_exceed
 
-DEFAULT_BOUND = 256
+# The CLI's bound when none is given: dimension 3 is complete at any bound
+# >= 5 (see ``classify``), and 39 is the stabilized bound of dimension 4.
+DEFAULT_BOUNDS = {3: 64, 4: 39}
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,20 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
 
     Deterministic: the accepted list is lexicographically sorted regardless
     of worker count or execution order.
+
+    In dimension 3 the answer is (1,1,1), (1,1,2), (1,2,3), (1,2,5) at every
+    bound >= 5.  The terminal lemma (Morrison-Stevens, Proc. AMS 90, 1984)
+    says that a terminal 1/r(x, y, z) has, up to order, x + y = 0 mod r
+    with x and z prime to r.  For an ascending triple (a, b, c):
+
+    - The blowup-terminal triples are (1, b, c) with gcd(b, c) = 1.  In
+      1/V(a, b, c), V = a + b + c - 1, two entries sum to V + 1 minus the
+      third, so the third is 1, and then b must be prime to V = b + c.
+    - For 1 < b < c the only wall is at 1, with flip (-1, -1, b-1, c-1).
+      At its index c - 1 the entry c - 1 is 0, so -2 or b - 2 is 0 mod
+      c - 1, which forces c <= 3 or b = 2.  (1, 1, c) has no wall.
+    - -K is interior iff c < 3b.  That leaves (1, 1, 1) and (1, 1, 2) for
+      b = 1, and (1, 2, 3) and (1, 2, 5) for 1 < b < c.
     """
     if dim not in (3, 4):
         raise ValueError(f"dim must be 3 or 4, got {dim}")

@@ -17,7 +17,7 @@ import sys
 import time
 
 from .classify import (
-    DEFAULT_BOUND,
+    DEFAULT_BOUNDS,
     classify,
     classify_stable,
     default_jobs,
@@ -230,11 +230,12 @@ def _classify_table(run, stabilized) -> str:
 def cmd_classify(args, out) -> int:
     started = time.perf_counter()
     jobs = args.jobs if args.jobs is not None else default_jobs()
+    bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
     if args.stabilize:
-        run, stabilized = classify_stable(args.dim, args.bound, jobs=jobs)
+        run, stabilized = classify_stable(args.dim, bound, jobs=jobs)
     else:
-        run, stabilized = classify(args.dim, args.bound, jobs=jobs), None
-    inputs = {"dim": args.dim, "bound": args.bound, "jobs": run.jobs}
+        run, stabilized = classify(args.dim, bound, jobs=jobs), None
+    inputs = {"dim": args.dim, "bound": bound, "jobs": run.jobs}
     if args.format == "json":
         doc = _record(
             "classify", inputs, _classify_payload(run, stabilized), started
@@ -305,7 +306,8 @@ def render_report(dim: int, bound: int, jobs: int = 1) -> str:
 
 def cmd_report(args, out) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    out.write(render_report(args.dim, args.bound, jobs=jobs))
+    bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
+    out.write(render_report(args.dim, bound, jobs=jobs))
     out.write("\n")
     return 0
 
@@ -330,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="bounded exhaustive classification")
     p.add_argument("--dim", type=int, choices=(3, 4), required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=int, default=None, help="default: 64 in dim 3, 39 in dim 4")
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.add_argument("--out", default=None)
@@ -340,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="markdown summary table")
     p.add_argument("--dim", type=int, choices=(3, 4), required=True)
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=int, default=None, help="default: 64 in dim 3, 39 in dim 4")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_report)
 

@@ -1,10 +1,24 @@
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
 
-from wblinks import Link, Rejected, build_link, classify, shape_of, stabilization_check
+from wblinks import (
+    BlowupVariety,
+    Link,
+    Rejected,
+    antik_in_interior_mov,
+    build_link,
+    classify,
+    interior_walls,
+    is_terminal_blowup,
+    is_terminal_cqs,
+    is_terminal_wps,
+    shape_of,
+    stabilization_check,
+    wall_flip_weights,
+)
 from wblinks.classify import _survivors, default_jobs, worker_count
 from wblinks.link import STAGE_WALL
 
@@ -25,26 +39,32 @@ def literal_terminal(ws, r):
     return all(sum(k * w % r for w in ws) > r for k in range(1, r))
 
 
+def literal_wps_terminal(ws):
+    """The criterion at the gcd of every subset of the entries > 1."""
+    big = [x for x in ws if x > 1]
+    for n in range(1, len(big) + 1):
+        for subset in combinations(big, n):
+            g = reduce(gcd, subset)
+            if g > 1 and not literal_terminal(ws, g):
+                return False
+    return True
+
+
 def literal_walls_terminal(ws):
     """Every wall flip of the ascending tuple ws is terminal.
 
     For each distinct v < ws[-2] the flip is [-1, -v] plus w - v over ws
-    with one v removed; it is terminal iff the criterion holds at the gcd
-    of every subset of its entries > 1.
+    with one v removed.
     """
     for v in sorted(set(w for w in ws if w < ws[-2])):
         rest = list(ws)
         rest.remove(v)
-        flip = [-1, -v] + [w - v for w in rest]
-        big = [x for x in flip if x > 1]
-        for n in range(1, len(big) + 1):
-            for subset in combinations(big, n):
-                g = reduce(gcd, subset)
-                if g > 1 and not literal_terminal(flip, g):
-                    return False
+        if not literal_wps_terminal([-1, -v] + [w - v for w in rest]):
+            return False
     return True
 
 
+@cache
 def literal_blowup_survivors(dim, bound):
     """Ascending tuples with -K interior to Mov and a terminal blowup."""
     out = []
@@ -52,23 +72,66 @@ def literal_blowup_survivors(dim, bound):
         V = sum(ws) - 1
         if (dim + 1) * ws[-2] > V and literal_terminal(ws, V):
             out.append(ws)
-    return out
+    return tuple(out)
 
 
+@cache
 def literal_survivors(dim, bound):
     """Blowup survivors whose wall crossings are all terminal.
 
     Written out independently of the package's half-range helper, subset-gcd
     closure and flip formula.
     """
-    return [
+    return tuple(
         ws for ws in literal_blowup_survivors(dim, bound) if literal_walls_terminal(ws)
-    ]
+    )
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_matches_literal_criterion(dim, bound):
-    assert sorted(_survivors(dim, bound, 1)) == literal_survivors(dim, bound)
+    assert tuple(sorted(_survivors(dim, bound, 1))) == literal_survivors(dim, bound)
+
+
+@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
+def test_divisorial_targets_of_survivors_are_terminal(dim, bound):
+    """The end-model proof in ``wblinks.link``, kept as a check.
+
+    Every tuple whose blowup and walls are terminal and whose -K is
+    interior is accepted, and when its top two weights differ the target
+    of its divisorial contraction is terminal.
+    """
+    for ws in literal_survivors(dim, bound):
+        assert isinstance(build_link(ws, dim), Link), ws
+        top = ws[-1]
+        if ws[-2] < top:
+            target = sorted([1, top] + [top - w for w in ws[:-1]])
+            assert literal_wps_terminal(target), ws
+
+
+def test_dim3_answer_follows_from_the_terminal_lemma():
+    """Each step of the dimension-3 argument in the ``classify`` docstring."""
+    triples = list(combinations_with_replacement(range(1, 61), 3))
+    terminal = [ws for ws in triples if is_terminal_blowup(ws)]
+    assert terminal == [(a, b, c) for a, b, c in triples if a == 1 and gcd(b, c) == 1]
+    assert len(terminal) == 1102
+    walls_terminal = []
+    for ws in terminal:
+        _, b, c = ws
+        T = BlowupVariety(3, ws)
+        if 1 < b < c:
+            flip = wall_flip_weights(T, 1)
+            assert interior_walls(T) == [1] and flip == (-1, -1, b - 1, c - 1)
+            if is_terminal_cqs(flip, c - 1):
+                assert b == 2 or c <= 3, ws
+        else:
+            assert interior_walls(T) == [], ws
+        if all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T)):
+            walls_terminal.append(ws)
+    assert len(walls_terminal) == 89
+    assert all(b <= 2 or c <= 3 for _, b, c in walls_terminal)
+    interior = [ws for ws in walls_terminal if antik_in_interior_mov(BlowupVariety(3, ws))]
+    assert all((ws[2] < 3 * ws[1]) == (ws in interior) for ws in walls_terminal)
+    assert tuple(interior) == P3_ANSWER == classify(3, 60).accepted
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])

@@ -271,6 +271,15 @@ class TestClassify:
         assert len(expected) == 1 + 421
         assert rows == expected
 
+    @pytest.mark.parametrize("dim, bound, total", [(3, 64, 4), (4, 39, 421)])
+    def test_default_bound_is_per_dimension(self, scans, monkeypatch, dim, bound, total):
+        monkeypatch.delenv("WBLINKS_JOBS", raising=False)
+        code, doc = run_json(["classify", "--dim", str(dim)])
+        assert code == 0
+        assert scans == [(dim, bound, 1)]
+        assert doc["inputs"]["bound"] == bound
+        assert doc["result"]["total"] == total
+
     def test_jobs_echoes_workers_started(self, monkeypatch):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         code, doc = run_json(["classify", "--dim", "3", "--bound", "8", "--jobs", "64"])
@@ -330,6 +339,16 @@ class TestReport:
                 assert model.startswith(target + "-fibration over P^")
             else:
                 assert (end_map, model) == ("Divisorial Contraction", target)
+
+    @pytest.mark.parametrize("dim, bound", [(3, 64), (4, 39)])
+    def test_default_bound_is_per_dimension(self, monkeypatch, dim, bound):
+        calls = []
+        monkeypatch.setattr(
+            "wblinks.cli.render_report", lambda *args, **kw: calls.append(args) or ""
+        )
+        code, _ = run_cli(["report", "--dim", str(dim)])
+        assert code == 0
+        assert calls == [(dim, bound)]
 
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])
