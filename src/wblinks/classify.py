@@ -16,9 +16,12 @@ weight <= B) and one scan at 2B answers both questions.
 Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
 those three stages, which are the whole of acceptance (a divisorial end's
-target is terminal by the proof in ``wblinks.link``).  So a scan bug can
-only lose candidates, never add spurious ones; the pruned-vs-naive and
-scan-vs-literal-criterion tests guard the losing direction.
+target is terminal by the proof in ``wblinks.link``).  The scan's blowup
+test is the packed one of ``_blowup_table``; ``build_link`` re-checks the
+blowup with the scalar residue-sum loop, which shares no code with it.  So
+a scan bug can only lose candidates, never add spurious ones; the
+pruned-vs-naive and scan-vs-literal-criterion tests guard the losing
+direction, and the packed-vs-scalar tests compare the two blowup tests.
 """
 
 from __future__ import annotations
@@ -29,11 +32,21 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .link import DivContraction, Fibration, Link, _walls_terminal, build_link
-from .singularity import _residue_sums_exceed
+from .singularity import _blowup_table
 
 # The CLI's bound when none is given: dimension 3 is complete at any bound
 # >= 5 (see ``classify``), and 39 is the stabilized bound of dimension 4.
 DEFAULT_BOUNDS = {3: 64, 4: 39}
+
+# A scan's cost is bounded before any work starts (``_check_cost``).  At
+# most MAX_CANDIDATES candidates: dimension 4 has 1,591,010 at bound 78,
+# 11,213,577 at 128 (10 s serially and a 44 MB peak on a 2-vCPU Xeon with
+# Python 3.11) and 175,431,072 at 256.  At most MAX_TABLE_BYTES of blowup
+# tables by the estimate ``_table_bytes``, which bounds dimension 3: its
+# tables take about 7 * B**3 bytes at bound B, some 50 bytes per candidate
+# against 3 in dimension 4, so bound 300 would need about 190 MB.
+MAX_CANDIDATES = 12_000_000
+MAX_TABLE_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,24 +105,98 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
+def _head_counts(dim: int, bound: int):
+    """The scan's candidates per head, in partition order.
+
+    For the head with sum h and largest weight lo, c runs over lo..bound
+    and d over c..min(bound, dim * c - h).  Each count is two arithmetic
+    sums: (dim - 1) * c - h + 1 values of d for c below mid, the least c
+    with dim * c - h >= bound, and bound - c + 1 values from mid on.
+    """
+    for head in combinations_with_replacement(range(1, bound + 1), dim - 2):
+        lo, h = head[-1], sum(head)
+        mid = min(max(lo, -(-(bound + h) // dim)), bound + 1)
+        n, m = mid - lo, bound + 1 - mid
+        yield (n * ((dim - 1) * (lo + mid - 1) + 2 - 2 * h) + m * (m + 1)) // 2
+
+
+def candidate_count(dim: int, bound: int) -> int:
+    """Candidates a scan at bound visits: ascending, with -K interior.
+
+    It walks every head, so it suits the bounds a scan can run at;
+    ``_check_cost`` refuses larger ones before calling it.
+    """
+    return sum(_head_counts(dim, bound))
+
+
+def _table_bytes(dim: int, bound: int) -> int:
+    """About the size of the scan's blowup tables at bound.
+
+    There is a table for each index V < dim * bound, of at most bound
+    integers of V fields of F bits each.
+    """
+    F = (dim * dim * bound).bit_length() + 1
+    return bound * (dim * bound) ** 2 * F // 16
+
+
+def _check_cost(dim: int, bound: int) -> None:
+    """Raise ValueError if a scan at bound is over the budget.
+
+    The table estimate is checked first: it takes constant time and caps
+    the bound (near 170 in dimension 3), so the candidate count that
+    follows enumerates few heads.
+    """
+    size = _table_bytes(dim, bound)
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a dim-{dim} scan at bound {bound} needs about {size >> 20} MiB "
+            f"of tables, above the budget of {MAX_TABLE_BYTES >> 20} MiB"
+        )
+    n = candidate_count(dim, bound)
+    if n > MAX_CANDIDATES:
+        raise ValueError(
+            f"a dim-{dim} scan at bound {bound} visits {n:,} candidates, "
+            f"above the budget of {MAX_CANDIDATES:,}"
+        )
+
+
+# The scan's blowup tables, one per index V: (P, K, high) from
+# ``_blowup_table``.  ``_survivors`` clears them when it returns, and a pool
+# worker fills its own.  In dimension 4 they take about 14 * B**3 bytes at
+# bound B: 0.9 MB at B = 40, 6.4 MB at B = 78 and 28 MB at B = 128.
+_BLOWUP_TABLES: dict[int, tuple[list[int], int, int]] = {}
+
+
 def _scan_partition(args):
     """Ascending candidates (*head, c, d), d <= bound, that survive the scan.
 
     The interior-movable inequality (dim + 1) * c > sum(weights) - 1 caps
     the top weight at d <= dim * c - sum(head).  Blowup terminality is the
-    residue-sum criterion at index sum(weights) - 1.  Wall terminality is
-    the same criterion at every singularity index of every flip; it runs
+    residue-sum criterion at index V = sum(weights) - 1, decided for every k
+    at once by the packed test of ``_blowup_table``.  Wall terminality is
+    the scalar criterion at every singularity index of every flip; it runs
     last, as running it before the blowup test made the scan about twice
-    as slow.
+    as slow.  ``build_link`` re-checks each survivor's blowup with the
+    scalar loop, which shares no code with the packed test.
     """
     dim, bound, head = args
     h = sum(head)
+    tables = _BLOWUP_TABLES
     out = []
     for c in range(head[-1], bound + 1):
         for d in range(c, min(bound, dim * c - h) + 1):
-            ws = head + (c, d)
-            if _residue_sums_exceed(ws, h + c + d - 1) and _walls_terminal(ws):
-                out.append(ws)
+            V = h + c + d - 1
+            table = tables.get(V)
+            if table is None:
+                table = tables[V] = _blowup_table(V, dim, bound)
+            P, K, high = table
+            x = K + P[c] + P[d]
+            for a in head:
+                x += P[a]
+            if x & high == high:
+                ws = head + (c, d)
+                if _walls_terminal(ws):
+                    out.append(ws)
     return out
 
 
@@ -120,16 +207,19 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
     about 40 modules that every serial command would otherwise load at start.
     """
     tasks = [(dim, bound, head) for head in _partitions(dim, bound)]
-    if jobs <= 1:
-        chunks = map(_scan_partition, tasks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_scan_partition, tasks, chunksize=16))
     out: list[tuple[int, ...]] = []
-    for chunk in chunks:
-        out.extend(chunk)
+    try:
+        if jobs <= 1:
+            chunks = map(_scan_partition, tasks)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunks = list(pool.map(_scan_partition, tasks, chunksize=16))
+        for chunk in chunks:
+            out.extend(chunk)
+    finally:
+        _BLOWUP_TABLES.clear()
     return out
 
 
@@ -189,6 +279,7 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     if dim not in (3, 4):
         raise ValueError(f"dim must be 3 or 4, got {dim}")
     _check_bound(bound)
+    _check_cost(dim, bound)
     jobs = worker_count(jobs, dim, bound)
     pairs = [(ws, build_link(ws, dim)) for ws in sorted(_survivors(dim, bound, jobs))]
     return _run(dim, bound, [p for p in pairs if isinstance(p[1], Link)], jobs)

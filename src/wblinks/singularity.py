@@ -6,6 +6,10 @@ decided by the residue-sum criterion: the singularity is terminal iff
 
     sum_i smallest_residue(k * a_i, r)  >  r    for every k = 1,...,r-1.
 
+The public checks run it as a scalar loop over k.  For a blowup, where
+sum(a_i) = r + 1, the classification scan instead decides every k at once
+with the packed tables of ``_blowup_table``.
+
 Everything here is exact integer arithmetic on immutable values; all
 functions are pure and thread-safe.
 """
@@ -64,6 +68,49 @@ def _residue_sums_exceed(ws: tuple[int, ...], r: int) -> bool:
         if s <= r or s >= (m - 1) * r:
             return False
     return True
+
+
+def _blowup_table(V: int, n: int, top: int) -> tuple[list[int], int, int]:
+    """Packed residues for the blowup test at index V of n weights <= top.
+
+    Returns (P, K, high).  Field k - 1 of an integer, k = 1,...,V-1, is the
+    F bits above bit F * (k - 1), with F = (n * V).bit_length() + 1.  P[w]
+    holds (k * w) % V in field k - 1, for w = 0,...,min(V, top).  Then n
+    weights ws <= min(V, top) with sum(ws) = V + 1 give a terminal 1/V(ws)
+    iff
+
+        (K + sum(P[w] for w in ws)) & high == high,
+
+    and this test is exact.  The identity: sum(ws) = 1 mod V makes
+    s(k) = k mod V, where s(k) is the sum of the residues at k; as
+    0 < k < V, s(k) > V iff s(k) != k (Reid-Tai; M. Reid, "Young person's
+    guide to canonical singularities", 1987).  K holds H - 1 - k in field
+    k - 1, where H = 2**(F - 1), and high holds H in every field.  The sum
+    holds s(k) - k + H - 1 in field k - 1, with no borrow or carry between
+    fields: s(k) - k is at least 0, since s(k) >= 0 and s(k) = k mod V, and
+    below n * V < H, so each field stays in [H - 1, 2 * H).  The field's top
+    bit is set iff s(k) != k, so all top bits are set iff the quotient is
+    terminal.
+
+    No per-k loop: q holds k in field k - 1, and P[w] is P[w - 1] + q with
+    V taken off each field that reaches V.  Fields stay below 2 * V - 1, so
+    those are the fields whose top bit adding H - V sets.  The table takes
+    about min(V, top) * V * F / 8 bytes.
+    """
+    F = (n * V).bit_length() + 1
+    shift = F - 1
+    mask = (1 << F * (V - 1)) - 1
+    ones = mask // ((1 << F) - 1)
+    high = ones << shift
+    q = ones * ones & mask  # the square of ones holds k in field k - 1
+    lift = high - V * ones
+    P = [0]
+    x = 0
+    for _ in range(min(V, top)):
+        x += q
+        x -= ((x + lift & high) >> shift) * V
+        P.append(x)
+    return P, high - ones - q, high
 
 
 def is_terminal_blowup(weights) -> bool:

@@ -1,3 +1,4 @@
+import importlib
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -19,10 +20,20 @@ from wblinks import (
     stabilization_check,
     wall_flip_weights,
 )
-from wblinks.classify import _survivors, default_jobs, worker_count
+from wblinks.classify import (
+    MAX_CANDIDATES,
+    _survivors,
+    candidate_count,
+    classify_stable,
+    default_jobs,
+    worker_count,
+)
 from wblinks.link import STAGE_WALL
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
+
+# the package's `classify` attribute is the function, so look the module up
+SCAN = importlib.import_module("wblinks.classify")
 
 
 def naive_accepted(dim, bound):
@@ -275,3 +286,78 @@ def test_default_jobs_from_env(monkeypatch):
         monkeypatch.setenv("WBLINKS_JOBS", bad)
         with pytest.raises(ValueError, match="WBLINKS_JOBS must be an integer >= 1"):
             default_jobs()
+
+
+@pytest.mark.parametrize("dim, top", [(3, 24), (4, 24), (5, 12)])
+def test_candidate_count_matches_enumeration(dim, top):
+    for bound in range(2, top + 1):
+        brute = sum(
+            1
+            for ws in combinations_with_replacement(range(1, bound + 1), dim)
+            if (dim + 1) * ws[-2] > sum(ws) - 1
+        )
+        assert candidate_count(dim, bound) == brute, bound
+
+
+def test_candidate_count_at_published_bounds():
+    assert candidate_count(4, 40) == 117_795
+    assert candidate_count(4, 78) == 1_591_010
+    assert candidate_count(4, 128) == 11_213_577 <= MAX_CANDIDATES
+    assert candidate_count(4, 256) == 175_431_072
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    """Fail the test if a scan starts."""
+
+    def refuse(dim, bound):
+        raise AssertionError(f"scan started at dim {dim}, bound {bound}")
+
+    monkeypatch.setattr(SCAN, "_partitions", refuse)
+
+
+@pytest.mark.parametrize(
+    "dim, bound, message",
+    [
+        (4, 131, "visits 12,289,783 candidates, above the budget of 12,000,000"),
+        (4, 256, "MiB of tables, above the budget of 32 MiB"),
+        (4, 10**9, "MiB of tables"),
+        (3, 180, "needs about 37 MiB of tables"),
+    ],
+)
+def test_over_budget_refused_before_any_scan(no_scan, dim, bound, message):
+    with pytest.raises(ValueError, match=message):
+        classify(dim, bound)
+
+
+def test_stabilize_budget_applies_at_twice_the_bound(no_scan):
+    with pytest.raises(ValueError, match="bound 256"):
+        classify_stable(4, 128)
+
+
+def test_budget_admits_dim4_bound_128_and_dim3_bound_160():
+    SCAN._check_cost(4, 128)
+    SCAN._check_cost(3, 160)
+
+
+def test_blowup_tables_live_only_during_a_scan(monkeypatch):
+    sizes = []
+    real = SCAN._walls_terminal
+
+    def record(ws):
+        sizes.append(len(SCAN._BLOWUP_TABLES))
+        return real(ws)
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    assert len(classify(4, 16).accepted) == 228
+    assert SCAN._BLOWUP_TABLES == {} and max(sizes) > 0
+
+
+def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
+    def fail(ws):
+        raise RuntimeError("wall test failed")
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", fail)
+    with pytest.raises(RuntimeError):
+        classify(4, 16)
+    assert SCAN._BLOWUP_TABLES == {}

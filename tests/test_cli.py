@@ -228,6 +228,15 @@ class TestClassify:
         assert text == "" and scans == []
         assert "bound must be >= 2, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--bound", "256"], ["--bound", "128", "--stabilize"]]
+    )
+    def test_over_budget_exits_2_before_any_scan(self, scans, capsys, argv):
+        code, text = run_cli(["classify", "--dim", "4"] + argv)
+        assert code == 2
+        assert text == "" and scans == []
+        assert "a dim-4 scan at bound 256 needs about" in capsys.readouterr().err
+
     def test_stabilize_echoes_the_workers_of_its_scan(self, scans, monkeypatch):
         # 2 partitions at bound 2 but 4 at bound 4, where the scan runs
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
@@ -349,6 +358,12 @@ class TestReport:
         code, _ = run_cli(["report", "--dim", str(dim)])
         assert code == 0
         assert calls == [(dim, bound)]
+
+    def test_over_budget_exits_2(self, capsys):
+        code, text = run_cli(["report", "--dim", "4", "--bound", "256"])
+        assert code == 2
+        assert text == ""
+        assert "above the budget" in capsys.readouterr().err
 
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])

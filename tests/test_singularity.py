@@ -1,4 +1,8 @@
+from itertools import combinations_with_replacement
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wblinks import (
     CyclicQuotient,
@@ -8,7 +12,7 @@ from wblinks import (
     is_terminal_wps,
     singularity_indices,
 )
-from wblinks.singularity import _SUBSET_CAP
+from wblinks.singularity import _SUBSET_CAP, _blowup_table, _residue_sums_exceed
 
 
 class TestTerminalCqs:
@@ -45,6 +49,41 @@ class TestTerminalBlowup:
             is_terminal_blowup([-1, 2, 3])
         with pytest.raises(ValueError):
             is_terminal_blowup([5])
+
+
+def packed_blowup_terminal(ws, table):
+    """The test the scan inlines, on the table of index sum(ws) - 1."""
+    P, K, high = table
+    return (K + sum(P[w] for w in ws)) & high == high
+
+
+class TestPackedBlowupTest:
+    """The scan's packed blowup test against the scalar residue-sum loop."""
+
+    @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 40), (5, 20)])
+    def test_matches_scalar_loop_on_every_tuple(self, dim, bound):
+        tables = {}
+        for ws in combinations_with_replacement(range(1, bound + 1), dim):
+            V = sum(ws) - 1
+            if V not in tables:
+                tables[V] = _blowup_table(V, dim, bound)
+            assert packed_blowup_terminal(ws, tables[V]) == _residue_sums_exceed(ws, V), ws
+
+    # The field width is (n * V).bit_length() + 1 bits, so weights up to
+    # 2000 in dimensions 3-6 reach widths 4 (at V = 2) through 18.  Random
+    # large tuples are almost never terminal; the examples include
+    # terminal ones: (1, b, c) with gcd(b, c) = 1, and (1, ..., 1, d).
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 2000), min_size=3, max_size=6))
+    @example([1, 1, 1])
+    @example([1, 1999, 2000])
+    @example([1, 1, 1, 1999])
+    @example([1, 1, 1, 1, 1, 2000])
+    @example([1, 1, 2, 1997])
+    def test_matches_scalar_loop_on_large_weights(self, ws):
+        V = sum(ws) - 1
+        table = _blowup_table(V, len(ws), max(ws))
+        assert packed_blowup_terminal(ws, table) == _residue_sums_exceed(tuple(ws), V)
 
 
 class TestSingularityIndices:
