@@ -38,15 +38,13 @@ from .singularity import _blowup_table
 # >= 5 (see ``classify``), and 39 is the stabilized bound of dimension 4.
 DEFAULT_BOUNDS = {3: 64, 4: 39}
 
-# A scan's cost is bounded before any work starts (``_check_cost``).  At
-# most MAX_CANDIDATES candidates: dimension 4 has 1,591,010 at bound 78,
-# 11,213,577 at 128 (10 s serially and a 44 MB peak on a 2-vCPU Xeon with
-# Python 3.11) and 175,431,072 at 256.  At most MAX_TABLE_BYTES of blowup
-# tables by the estimate ``_table_bytes``, which bounds dimension 3: its
-# tables take about 7 * B**3 bytes at bound B, some 50 bytes per candidate
-# against 3 in dimension 4, so bound 300 would need about 190 MB.
-MAX_CANDIDATES = 12_000_000
-MAX_TABLE_BYTES = 32 * 2**20
+# The largest bound a scan may run at, per dimension; ``_check_scan`` refuses
+# a larger one before any work.  Dimension 4 is capped by its candidates:
+# 11,922,812 at bound 130, and 131 would pass 12 M (bound 128 takes about
+# 10 s serially and a 44 MB peak on a 2-vCPU Xeon with Python 3.11).
+# Dimension 3 is capped by its packed blowup tables, about 7 * B**3 bytes at
+# bound B: about 31.6 MiB at 170, and 171 would pass 32 MiB.
+MAX_BOUNDS = {3: 170, 4: 130}
 
 
 @dataclass(frozen=True)
@@ -103,61 +101,6 @@ def shape_of(weights: tuple[int, ...]) -> str:
 def _partitions(dim: int, bound: int):
     """Ascending heads: the dim - 2 smallest weights of a candidate."""
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
-
-
-def _head_counts(dim: int, bound: int):
-    """The scan's candidates per head, in partition order.
-
-    For the head with sum h and largest weight lo, c runs over lo..bound
-    and d over c..min(bound, dim * c - h).  Each count is two arithmetic
-    sums: (dim - 1) * c - h + 1 values of d for c below mid, the least c
-    with dim * c - h >= bound, and bound - c + 1 values from mid on.
-    """
-    for head in combinations_with_replacement(range(1, bound + 1), dim - 2):
-        lo, h = head[-1], sum(head)
-        mid = min(max(lo, -(-(bound + h) // dim)), bound + 1)
-        n, m = mid - lo, bound + 1 - mid
-        yield (n * ((dim - 1) * (lo + mid - 1) + 2 - 2 * h) + m * (m + 1)) // 2
-
-
-def candidate_count(dim: int, bound: int) -> int:
-    """Candidates a scan at bound visits: ascending, with -K interior.
-
-    It walks every head, so it suits the bounds a scan can run at;
-    ``_check_cost`` refuses larger ones before calling it.
-    """
-    return sum(_head_counts(dim, bound))
-
-
-def _table_bytes(dim: int, bound: int) -> int:
-    """About the size of the scan's blowup tables at bound.
-
-    There is a table for each index V < dim * bound, of at most bound
-    integers of V fields of F bits each.
-    """
-    F = (dim * dim * bound).bit_length() + 1
-    return bound * (dim * bound) ** 2 * F // 16
-
-
-def _check_cost(dim: int, bound: int) -> None:
-    """Raise ValueError if a scan at bound is over the budget.
-
-    The table estimate is checked first: it takes constant time and caps
-    the bound (near 170 in dimension 3), so the candidate count that
-    follows enumerates few heads.
-    """
-    size = _table_bytes(dim, bound)
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"a dim-{dim} scan at bound {bound} needs about {size >> 20} MiB "
-            f"of tables, above the budget of {MAX_TABLE_BYTES >> 20} MiB"
-        )
-    n = candidate_count(dim, bound)
-    if n > MAX_CANDIDATES:
-        raise ValueError(
-            f"a dim-{dim} scan at bound {bound} visits {n:,} candidates, "
-            f"above the budget of {MAX_CANDIDATES:,}"
-        )
 
 
 # The scan's blowup tables, one per index V: (P, K, high) from
@@ -240,10 +183,17 @@ def check_jobs(jobs, source: str = "jobs") -> int:
     return n
 
 
-def _check_bound(bound: int) -> None:
-    """Raise ValueError unless bound >= 2, the least bound classify scans."""
+def _check_scan(dim: int, bound: int) -> None:
+    """Raise ValueError unless dim is 3 or 4 and 2 <= bound <= MAX_BOUNDS[dim]."""
+    if dim not in MAX_BOUNDS:
+        raise ValueError(f"dim must be 3 or 4, got {dim}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
+    if bound > MAX_BOUNDS[dim]:
+        raise ValueError(
+            f"a dim-{dim} scan at bound {bound} is over budget: "
+            f"the largest bound is {MAX_BOUNDS[dim]}"
+        )
 
 
 def worker_count(jobs: int, dim: int, bound: int) -> int:
@@ -276,10 +226,7 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     - -K is interior iff c < 3b.  That leaves (1, 1, 1) and (1, 1, 2) for
       b = 1, and (1, 2, 3) and (1, 2, 5) for 1 < b < c.
     """
-    if dim not in (3, 4):
-        raise ValueError(f"dim must be 3 or 4, got {dim}")
-    _check_bound(bound)
-    _check_cost(dim, bound)
+    _check_scan(dim, bound)
     jobs = worker_count(jobs, dim, bound)
     pairs = [(ws, build_link(ws, dim)) for ws in sorted(_survivors(dim, bound, jobs))]
     return _run(dim, bound, [p for p in pairs if isinstance(p[1], Link)], jobs)
@@ -291,9 +238,10 @@ def classify_stable(
     """The run at bound, and whether its accepted set equals the one at 2 * bound.
 
     One scan at 2 * bound: the set is stable iff no tuple accepted there has
-    top weight in (bound, 2 * bound].
+    top weight in (bound, 2 * bound].  The bound is checked before the scan
+    checks twice the bound, so a bound below 2 is refused as such.
     """
-    _check_bound(bound)
+    _check_scan(dim, bound)
     run = classify(dim, 2 * bound, jobs)
     return run.restrict(bound), all(ws[-1] <= bound for ws in run.accepted)
 

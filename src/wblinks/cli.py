@@ -15,15 +15,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .classify import (
     DEFAULT_BOUNDS,
+    MAX_BOUNDS,
     classify,
     classify_stable,
     default_jobs,
     end_summary,
 )
-from .link import DivContraction, Link, display_orientation
+from .link import Link, display_orientation
 from .singularity import (
     is_terminal_blowup,
     is_terminal_cqs,
@@ -36,7 +38,6 @@ SCHEMA_VERSION = "1"
 
 # End-map names the computation does not produce; published only for the
 # four dimension-3 links, keyed by the trailing weight pair.
-DIM3_END_ANNOTATIONS_VERSION = "1"
 DIM3_END_ANNOTATIONS = {
     (1, 1): ("Fibration", "P^1-bundle over P^2"),
     (1, 2): ("Divisorial Contraction to P^1", None),
@@ -83,8 +84,12 @@ def _record(command: str, inputs: dict, result: dict, started: float) -> dict:
     }
 
 
+def _json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _emit_json(doc: dict, out) -> None:
-    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out.write(_json(doc))
 
 
 def _wformat(ws) -> str:
@@ -130,40 +135,16 @@ def cmd_check(args, out) -> int:
 
 
 def _serialize_link(result) -> dict:
-    if isinstance(result, Link):
-        end = result.end
-        if isinstance(end, DivContraction):
-            end_doc = {
-                "kind": "divisorial_contraction",
-                "target_weights": list(end.target_weights),
-                "center_dim": end.center_dim,
-                "center_index": end.center_index,
-            }
-        else:
-            end_doc = {
-                "kind": "fibration",
-                "base_dim": end.base_dim,
-                "fiber_weights": list(end.fiber_weights),
-            }
-        return {
-            "accepted": True,
-            "steps": [
-                {
-                    "wall": s.wall,
-                    "flip_weights": list(s.flip_weights),
-                    "flip_weights_display": list(display_orientation(s.flip_weights)),
-                }
-                for s in result.steps
-            ],
-            "end": end_doc,
-        }
+    """The link or rejection as JSON: the dataclass field names are the keys."""
+    if not isinstance(result, Link):
+        return {"accepted": False, "rejection": asdict(result)}
     return {
-        "accepted": False,
-        "rejection": {
-            "stage": result.stage,
-            "wall": result.wall,
-            "detail": result.detail,
-        },
+        "accepted": True,
+        "steps": [
+            {**asdict(s), "flip_weights_display": display_orientation(s.flip_weights)}
+            for s in result.steps
+        ],
+        "end": {"kind": end_summary(result.end)[0], **asdict(result.end)},
     }
 
 
@@ -237,10 +218,9 @@ def cmd_classify(args, out) -> int:
         run, stabilized = classify(args.dim, bound, jobs=jobs), None
     inputs = {"dim": args.dim, "bound": bound, "jobs": run.jobs}
     if args.format == "json":
-        doc = _record(
-            "classify", inputs, _classify_payload(run, stabilized), started
+        text = _json(
+            _record("classify", inputs, _classify_payload(run, stabilized), started)
         )
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         text = _classify_csv(run)
     else:
@@ -319,6 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "blowups of a point in projective space.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--dim", type=int, choices=(3, 4), required=True)
+    scan.add_argument("--bound", type=int, default=None, help=(
+        f"default: {DEFAULT_BOUNDS[3]} in dim 3, {DEFAULT_BOUNDS[4]} in dim 4; "
+        f"at most {MAX_BOUNDS[3]} and {MAX_BOUNDS[4]}"
+    ))
+    scan.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("check", help="terminality checks on one weight list")
     p.add_argument("-w", "--weights", required=True, help="comma-separated integers (use --weights=-1,2,3 for negatives)")
@@ -330,20 +317,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("classify", help="bounded exhaustive classification")
-    p.add_argument("--dim", type=int, choices=(3, 4), required=True)
-    p.add_argument("--bound", type=int, default=None, help="default: 64 in dim 3, 39 in dim 4")
-    p.add_argument("--jobs", type=int, default=None)
+    p = sub.add_parser(
+        "classify", parents=[scan], help="bounded exhaustive classification"
+    )
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--expect", type=int, default=None)
     p.add_argument("--stabilize", action="store_true")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("report", help="markdown summary table")
-    p.add_argument("--dim", type=int, choices=(3, 4), required=True)
-    p.add_argument("--bound", type=int, default=None, help="default: 64 in dim 3, 39 in dim 4")
-    p.add_argument("--jobs", type=int, default=None)
+    p = sub.add_parser("report", parents=[scan], help="markdown summary table")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -21,9 +21,8 @@ from wblinks import (
     wall_flip_weights,
 )
 from wblinks.classify import (
-    MAX_CANDIDATES,
+    MAX_BOUNDS,
     _survivors,
-    candidate_count,
     classify_stable,
     default_jobs,
     worker_count,
@@ -288,24 +287,6 @@ def test_default_jobs_from_env(monkeypatch):
             default_jobs()
 
 
-@pytest.mark.parametrize("dim, top", [(3, 24), (4, 24), (5, 12)])
-def test_candidate_count_matches_enumeration(dim, top):
-    for bound in range(2, top + 1):
-        brute = sum(
-            1
-            for ws in combinations_with_replacement(range(1, bound + 1), dim)
-            if (dim + 1) * ws[-2] > sum(ws) - 1
-        )
-        assert candidate_count(dim, bound) == brute, bound
-
-
-def test_candidate_count_at_published_bounds():
-    assert candidate_count(4, 40) == 117_795
-    assert candidate_count(4, 78) == 1_591_010
-    assert candidate_count(4, 128) == 11_213_577 <= MAX_CANDIDATES
-    assert candidate_count(4, 256) == 175_431_072
-
-
 @pytest.fixture
 def no_scan(monkeypatch):
     """Fail the test if a scan starts."""
@@ -319,25 +300,47 @@ def no_scan(monkeypatch):
 @pytest.mark.parametrize(
     "dim, bound, message",
     [
-        (4, 131, "visits 12,289,783 candidates, above the budget of 12,000,000"),
-        (4, 256, "MiB of tables, above the budget of 32 MiB"),
-        (4, 10**9, "MiB of tables"),
-        (3, 180, "needs about 37 MiB of tables"),
+        (4, 131, "largest bound is 130"),
+        (4, 256, "largest bound is 130"),
+        (4, 10**9, "largest bound is 130"),
+        (4, 10**18, "largest bound is 130"),
+        (3, 171, "largest bound is 170"),
+        (3, 180, "largest bound is 170"),
+        (3, 10**18, "largest bound is 170"),
     ],
 )
 def test_over_budget_refused_before_any_scan(no_scan, dim, bound, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         classify(dim, bound)
+    assert f"a dim-{dim} scan at bound {bound} is over budget" in str(exc.value)
 
 
 def test_stabilize_budget_applies_at_twice_the_bound(no_scan):
     with pytest.raises(ValueError, match="bound 256"):
         classify_stable(4, 128)
+    with pytest.raises(ValueError, match="bound 132 is over budget"):
+        classify_stable(4, 66)
+    with pytest.raises(ValueError, match="bound 172 is over budget"):
+        classify_stable(3, 86)
 
 
 def test_budget_admits_dim4_bound_128_and_dim3_bound_160():
-    SCAN._check_cost(4, 128)
-    SCAN._check_cost(3, 160)
+    SCAN._check_scan(4, 128)
+    SCAN._check_scan(3, 160)
+
+
+def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
+    assert MAX_BOUNDS == {3: 170, 4: 130}
+    expected = {3: list(range(2, 171)), 4: list(range(2, 131))}
+    for dim in (2, 3, 4, 5):
+        admitted = []
+        for bound in range(-3, 400):
+            try:
+                SCAN._check_scan(dim, bound)
+            except ValueError:
+                continue
+            admitted.append(bound)
+        assert admitted == expected.get(dim, []), dim
 
 
 def test_blowup_tables_live_only_during_a_scan(monkeypatch):

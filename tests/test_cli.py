@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from wblinks.cli import main, render_report
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -144,6 +146,45 @@ class TestLink:
         assert text == ""
         assert "sum(weights) - 1 must be at most 10000000" in capsys.readouterr().err
 
+    # The whole `result` of `wblinks link`: one divisorial link, one flop
+    # then fibration, and one rejection at each of the wall and blowup stages.
+    @pytest.mark.parametrize(
+        "dim, weights, result",
+        [
+            (3, "1,2,5", {
+                "accepted": True,
+                "steps": [{"wall": 1, "flip_weights": [-1, -1, 1, 4],
+                           "flip_weights_display": [1, 1, -1, -4]}],
+                "end": {"kind": "divisorial_contraction", "target_weights": [1, 3, 4, 5],
+                        "center_dim": 0, "center_index": 3},
+                "weights_sorted": [1, 2, 5],
+            }),
+            (4, "1,1,2,2", {
+                "accepted": True,
+                "steps": [{"wall": 1, "flip_weights": [-1, -1, 0, 1, 1],
+                           "flip_weights_display": [1, 1, 0, -1, -1]}],
+                "end": {"kind": "fibration", "base_dim": 1, "fiber_weights": [1, 1, 1, 2]},
+                "weights_sorted": [1, 1, 2, 2],
+            }),
+            (3, "1,3,4", {
+                "accepted": False,
+                "rejection": {"stage": "wall_not_terminal", "wall": 1,
+                              "detail": "flip_weights=(-1, -1, 2, 3)"},
+                "weights_sorted": [1, 3, 4],
+            }),
+            (3, "2,3,5", {
+                "accepted": False,
+                "rejection": {"stage": "blowup_not_terminal", "wall": None,
+                              "detail": "weights=(2, 3, 5)"},
+                "weights_sorted": [2, 3, 5],
+            }),
+        ],
+    )
+    def test_full_result_is_pinned(self, dim, weights, result):
+        code, doc = run_json(["link", "--dim", str(dim), "-w", weights])
+        assert code == 0
+        assert doc["result"] == result
+
     def test_byte_identical_result(self):
         docs = [run_json(["link", "-w", "1,2,5", "--dim", "3"])[1] for _ in range(2)]
         assert json.dumps(docs[0]["result"], sort_keys=True) == json.dumps(
@@ -235,7 +276,8 @@ class TestClassify:
         code, text = run_cli(["classify", "--dim", "4"] + argv)
         assert code == 2
         assert text == "" and scans == []
-        assert "a dim-4 scan at bound 256 needs about" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "a dim-4 scan at bound 256 is over budget: the largest bound is 130" in err
 
     def test_stabilize_echoes_the_workers_of_its_scan(self, scans, monkeypatch):
         # 2 partitions at bound 2 but 4 at bound 4, where the scan runs
@@ -363,7 +405,7 @@ class TestReport:
         code, text = run_cli(["report", "--dim", "4", "--bound", "256"])
         assert code == 2
         assert text == ""
-        assert "above the budget" in capsys.readouterr().err
+        assert "over budget: the largest bound is 130" in capsys.readouterr().err
 
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])
@@ -371,6 +413,36 @@ class TestReport:
         assert "Kawamata" not in text
         assert "| (2,3,5,5) |" in text
         assert "P(1,2,3,5)-fibration over P^1" in text
+
+
+def readme_cli_lines():
+    """The `wblinks check` and `wblinks link` lines of the README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith(("wblinks check ", "wblinks link "))]
+
+
+def test_readme_check_and_link_examples_exit_0():
+    lines = readme_cli_lines()
+    assert len(lines) == 4
+    for line in lines:
+        code, _ = run_cli(shlex.split(line)[1:])
+        assert code == 0, line
+
+
+@pytest.mark.parametrize("command", ["classify", "report"])
+def test_bound_help_shows_default_and_largest_bounds(command, capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default: 64 in dim 3, 39 in dim 4; at most 170 and 130" in text
+    # built from the tables, not written out
+    monkeypatch.setattr("wblinks.cli.DEFAULT_BOUNDS", {3: 11, 4: 12})
+    monkeypatch.setattr("wblinks.cli.MAX_BOUNDS", {3: 13, 4: 14})
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default: 11 in dim 3, 12 in dim 4; at most 13 and 14" in text
 
 
 def test_unknown_flag_exits_2():
