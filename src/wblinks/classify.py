@@ -17,11 +17,15 @@ Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
 those three stages, which are the whole of acceptance (a divisorial end's
 target is terminal by the proof in ``wblinks.link``).  The scan's blowup
-test is the packed one of ``_blowup_table``; ``build_link`` re-checks the
-blowup with the scalar residue-sum loop, which shares no code with it.  So
-a scan bug can only lose candidates, never add spurious ones; the
-pruned-vs-naive and scan-vs-literal-criterion tests guard the losing
-direction, and the packed-vs-scalar tests compare the two blowup tests.
+and wall tests are packed: both sum rows of ``_residue_table`` and test
+every k of the residue-sum criterion with one mask.  ``build_link``
+re-checks the blowup and every wall with the scalar residue-sum loop,
+which shares no code with the packed test; it tests each flip at all its
+subset gcds, where the scan tests only the flip's own terms, which is
+equivalent (see ``_walls_terminal``).  So a scan bug can only lose
+candidates, never add spurious ones; the pruned-vs-naive and
+scan-vs-literal-criterion tests guard the losing direction, and the
+packed-vs-scalar tests compare the two forms of the criterion.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .link import DivContraction, Fibration, Link, _walls_terminal, build_link
-from .singularity import _blowup_table
+from .link import DivContraction, Fibration, Link, build_link
+from .singularity import _residue_table
 
 # The CLI's bound when none is given: dimension 3 is complete at any bound
 # >= 5 (see ``classify``), and 39 is the stabilized bound of dimension 4.
@@ -43,7 +47,12 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # 11,922,812 at bound 130, and 131 would pass 12 M (bound 128 takes about
 # 10 s serially and a 44 MB peak on a 2-vCPU Xeon with Python 3.11).
 # Dimension 3 is capped by its packed blowup tables, about 7 * B**3 bytes at
-# bound B: about 31.6 MiB at 170, and 171 would pass 32 MiB.
+# bound B: about 31.6 MiB at 170, and 171 would pass 32 MiB.  The wall
+# tables, one per index g < B, add at most the sum of g * (g - 1) * F / 8
+# bytes, F = ((dim + 2) * g).bit_length() + 1: about 2.1 MiB in dimension 3
+# at 170 and 0.9 MiB in dimension 4 at 130.  Measured in process, a
+# dimension-3 scan at 170 holds 33.7 MiB of blowup and 2.7 MiB of wall
+# tables as Python objects, 36.4 MiB in all, and peaks at 52.7 MiB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
@@ -103,11 +112,49 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
-# The scan's blowup tables, one per index V: (P, K, high) from
-# ``_blowup_table``.  ``_survivors`` clears them when it returns, and a pool
-# worker fills its own.  In dimension 4 they take about 14 * B**3 bytes at
-# bound B: 0.9 MB at B = 40, 6.4 MB at B = 78 and 28 MB at B = 128.
+# The scan's packed tables, each (P, K, high) from ``_residue_table``.  A
+# blowup table, per index V, covers the dim weights of a candidate up to the
+# bound; a wall table, per index e, covers every residue mod e.  Wall tables
+# are kept per number n of flip terms too, as their field width grows with
+# n, so a call in another dimension never reuses narrower fields.
+# ``_survivors`` clears both when it returns, and a pool worker fills its
+# own.  In dimension 4 the blowup tables take about 14 * B**3 bytes at bound
+# B: 0.9 MB at B = 40, 6.4 MB at B = 78 and 28 MB at B = 128.
 _BLOWUP_TABLES: dict[int, tuple[list[int], int, int]] = {}
+_WALL_TABLES: dict[int, dict[int, tuple[list[int], int, int]]] = {}
+
+
+def _walls_terminal(ws: tuple[int, ...]) -> bool:
+    """True iff every wall crossing of the ascending candidate ws is terminal.
+
+    The flip at a wall v < ws[-2] has the terms (-1, -v, *(w - v for w in
+    ws)): ``link.wall_flip_weights`` and one more 0, which adds nothing to a
+    residue sum and is no index.  Each flip is tested at its own terms
+    e > 1 only, not at the rest of its subset gcds, and that is exact:
+    the criterion at e implies it at every divisor g of e.  At k = m * e / g,
+    each residue (k * w) % e is e / g times (m * w) % g, so s_e(k) > e iff
+    s_g(m) > g, for m = 1,...,g-1.  Every subset gcd divides a term, so
+    this decides what ``is_terminal_wps`` decides on each flip.
+    """
+    n = len(ws) + 2
+    tables = _WALL_TABLES.setdefault(n, {})
+    for v in set(ws[:-2]):
+        if v >= ws[-2]:
+            continue
+        terms = (-1, -v, *[w - v for w in ws])
+        for e in terms:
+            if e < 2:
+                continue
+            table = tables.get(e)
+            if table is None:
+                table = tables[e] = _residue_table(e, n, e - 1)
+            P, K, high = table
+            x = K
+            for t in terms:
+                x += P[t % e]
+            if x & high != high:
+                return False
+    return True
 
 
 def _scan_partition(args):
@@ -116,11 +163,12 @@ def _scan_partition(args):
     The interior-movable inequality (dim + 1) * c > sum(weights) - 1 caps
     the top weight at d <= dim * c - sum(head).  Blowup terminality is the
     residue-sum criterion at index V = sum(weights) - 1, decided for every k
-    at once by the packed test of ``_blowup_table``.  Wall terminality is
-    the scalar criterion at every singularity index of every flip; it runs
-    last, as running it before the blowup test made the scan about twice
-    as slow.  ``build_link`` re-checks each survivor's blowup with the
-    scalar loop, which shares no code with the packed test.
+    at once by summing the rows of the weights in V's ``_residue_table``;
+    every weight is below V, so no row index needs reducing.  The wall test
+    ``_walls_terminal``, packed the same way, runs last on the blowup
+    survivors: about one candidate in ten at bound 40 in dimension 4.
+    ``build_link`` re-checks each survivor with the scalar loop, which
+    shares no code with the packed tests.
     """
     dim, bound, head = args
     h = sum(head)
@@ -131,7 +179,7 @@ def _scan_partition(args):
             V = h + c + d - 1
             table = tables.get(V)
             if table is None:
-                table = tables[V] = _blowup_table(V, dim, bound)
+                table = tables[V] = _residue_table(V, dim, bound)
             P, K, high = table
             x = K + P[c] + P[d]
             for a in head:
@@ -163,6 +211,7 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
             out.extend(chunk)
     finally:
         _BLOWUP_TABLES.clear()
+        _WALL_TABLES.clear()
     return out
 
 

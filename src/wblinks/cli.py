@@ -165,11 +165,22 @@ def cmd_link(args, out) -> int:
     return 0
 
 
-def _open_out(path: str):
+def _out_path(path: str) -> str:
+    """The --out path, under WBLINKS_OUT_DIR when relative.
+
+    Raises InputError unless the path's directory exists and is writable and
+    the path is not a directory, so that a scan never runs for an output it
+    cannot write.  The file itself is created only once the scan is done.
+    """
     out_dir = os.environ.get("WBLINKS_OUT_DIR")
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    return open(path, "w", encoding="utf-8")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise InputError(f"--out directory does not exist: {parent}")
+    if os.path.isdir(path) or not os.access(parent, os.W_OK):
+        raise InputError(f"--out is not a writable file path: {path}")
+    return path
 
 
 def _classify_payload(run, stabilized) -> dict:
@@ -212,6 +223,7 @@ def cmd_classify(args, out) -> int:
     started = time.perf_counter()
     jobs = args.jobs if args.jobs is not None else default_jobs()
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
+    path = _out_path(args.out) if args.out else None
     if args.stabilize:
         run, stabilized = classify_stable(args.dim, bound, jobs=jobs)
     else:
@@ -225,9 +237,12 @@ def cmd_classify(args, out) -> int:
         text = _classify_csv(run)
     else:
         text = _classify_table(run, stabilized)
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(text)
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {path}: {exc.strerror}") from None
         _emit_json(
             _record(
                 "classify",

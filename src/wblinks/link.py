@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .singularity import _wps_terminal, is_terminal_blowup, is_terminal_wps
+from .singularity import is_terminal_blowup, is_terminal_wps
 from .toric import BlowupVariety, antik_in_interior_mov
 
 STAGE_BLOWUP = "blowup_not_terminal"
@@ -103,15 +103,6 @@ def _flip_weights(ws: tuple[int, ...], v: int) -> tuple[int, ...]:
     rest = list(ws)
     rest.remove(v)
     return tuple(sorted([-1, -v] + [w - v for w in rest]))
-
-
-def _walls_terminal(ws: tuple[int, ...]) -> bool:
-    """True iff every wall crossing of the ascending tuple ws is terminal.
-
-    Not validated: the classification scan calls this on its own ascending
-    candidates, and ``build_link`` runs the same check one wall at a time.
-    """
-    return all(_wps_terminal(_flip_weights(ws, v)) for v in _interior_walls(ws))
 
 
 def interior_walls(T: BlowupVariety) -> list[int]:

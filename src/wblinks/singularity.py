@@ -6,9 +6,12 @@ decided by the residue-sum criterion: the singularity is terminal iff
 
     sum_i smallest_residue(k * a_i, r)  >  r    for every k = 1,...,r-1.
 
-The public checks run it as a scalar loop over k.  For a blowup, where
-sum(a_i) = r + 1, the classification scan instead decides every k at once
-with the packed tables of ``_blowup_table``.
+The public checks run it as a scalar loop over k.  The classification scan
+instead decides every k at once with the packed tables of
+``_residue_table``: one bit field per k, offset so that a field's top bit
+is set iff its residue sum exceeds r.  That offset is the same for every
+weight list, so one table form serves both the scan's blowup test and its
+wall test.
 
 Everything here is exact integer arithmetic on immutable values; all
 functions are pure and thread-safe.
@@ -55,8 +58,8 @@ def _residue_sums_exceed(ws: tuple[int, ...], r: int) -> bool:
     s(r - k) > r iff s(k) < (m(k) - 1) * r, and it suffices to visit
     k <= r/2 and check r < s(k) < (m(k) - 1) * r.
 
-    Inputs are not validated: ``is_terminal_cqs`` validates them first, and
-    the classification scan calls this directly with r >= 1.
+    Inputs are not validated: ``is_terminal_cqs`` and ``is_terminal_wps``
+    validate them first, and the latter passes only indices r > 1.
     """
     for k in range(1, r // 2 + 1):
         s = m = 0
@@ -70,47 +73,47 @@ def _residue_sums_exceed(ws: tuple[int, ...], r: int) -> bool:
     return True
 
 
-def _blowup_table(V: int, n: int, top: int) -> tuple[list[int], int, int]:
-    """Packed residues for the blowup test at index V of n weights <= top.
+def _residue_table(r: int, n: int, top: int) -> tuple[list[int], int, int]:
+    """Packed residues for the criterion at index r on n weights at a time.
 
-    Returns (P, K, high).  Field k - 1 of an integer, k = 1,...,V-1, is the
-    F bits above bit F * (k - 1), with F = (n * V).bit_length() + 1.  P[w]
-    holds (k * w) % V in field k - 1, for w = 0,...,min(V, top).  Then n
-    weights ws <= min(V, top) with sum(ws) = V + 1 give a terminal 1/V(ws)
-    iff
+    Returns (P, K, high).  Field k - 1 of an integer, k = 1,...,r-1, is the
+    F bits above bit F * (k - 1), with F = (n * r).bit_length() + 1.  P[x]
+    holds (k * x) % r in field k - 1, for x = 0,...,min(r - 1, top).  Then
+    any n integers ws (negative or zero too) give a terminal 1/r(ws) iff
 
-        (K + sum(P[w] for w in ws)) & high == high,
+        (K + sum(P[w % r] for w in ws)) & high == high,
 
-    and this test is exact.  The identity: sum(ws) = 1 mod V makes
-    s(k) = k mod V, where s(k) is the sum of the residues at k; as
-    0 < k < V, s(k) > V iff s(k) != k (Reid-Tai; M. Reid, "Young person's
-    guide to canonical singularities", 1987).  K holds H - 1 - k in field
-    k - 1, where H = 2**(F - 1), and high holds H in every field.  The sum
-    holds s(k) - k + H - 1 in field k - 1, with no borrow or carry between
-    fields: s(k) - k is at least 0, since s(k) >= 0 and s(k) = k mod V, and
-    below n * V < H, so each field stays in [H - 1, 2 * H).  The field's top
-    bit is set iff s(k) != k, so all top bits are set iff the quotient is
-    terminal.
+    and this test is exact.  Let H = 2**(F - 1); high holds H in every field
+    and K holds H - r - 1.  The sum holds s(k) + H - r - 1 in field k - 1,
+    where s(k) is the sum of the residues at k, with no borrow or carry
+    between fields: 0 <= s(k) <= n * (r - 1), and n * r < H, so each field
+    stays in [H - r - 1, 2 * H).  The field's top bit is set iff
+    s(k) >= r + 1, so all top bits are set iff s(k) > r for every k, which
+    is the residue-sum criterion (Reid-Tai; M. Reid, "Young person's guide
+    to canonical singularities", 1987).  The offset is the same for every
+    list, so no identity between the weights is needed: a blowup's
+    sum(ws) = r + 1 makes s(k) = k mod r, but the test does not rely on it.
+    Weights below r need no reduction, as in the scan's blowup test.
 
-    No per-k loop: q holds k in field k - 1, and P[w] is P[w - 1] + q with
-    V taken off each field that reaches V.  Fields stay below 2 * V - 1, so
-    those are the fields whose top bit adding H - V sets.  The table takes
-    about min(V, top) * V * F / 8 bytes.
+    No per-k loop: q holds k in field k - 1, and P[x] is P[x - 1] + q with
+    r taken off each field that reaches r.  Fields stay below 2 * r - 1, so
+    those are the fields whose top bit adding H - r sets.  The table takes
+    about (min(r - 1, top) + 1) * (r - 1) * F / 8 bytes.
     """
-    F = (n * V).bit_length() + 1
+    F = (n * r).bit_length() + 1
     shift = F - 1
-    mask = (1 << F * (V - 1)) - 1
+    mask = (1 << F * (r - 1)) - 1
     ones = mask // ((1 << F) - 1)
     high = ones << shift
     q = ones * ones & mask  # the square of ones holds k in field k - 1
-    lift = high - V * ones
+    lift = high - r * ones
     P = [0]
     x = 0
-    for _ in range(min(V, top)):
+    for _ in range(min(r - 1, top)):
         x += q
-        x -= ((x + lift & high) >> shift) * V
+        x -= ((x + lift & high) >> shift) * r
         P.append(x)
-    return P, high - ones - q, high
+    return P, high - (r + 1) * ones, high
 
 
 def is_terminal_blowup(weights) -> bool:
@@ -141,8 +144,7 @@ def _validate_wps(weights) -> tuple[int, ...]:
 def _subset_gcds(ws: tuple[int, ...]) -> tuple[int, ...]:
     """Ascending gcds g > 1 of the nonempty subsets of the entries > 1.
 
-    Inputs are not validated: the public callers check them first, and the
-    classification scan calls this (through ``_wps_terminal``) directly.
+    Inputs are not validated: the public callers check them first.
     """
     # Incremental subset-gcd closure: after processing x, `seen` holds the
     # gcd of every nonempty subset processed so far.
@@ -163,18 +165,14 @@ def singularity_indices(weights) -> tuple[int, ...]:
     return _subset_gcds(_validate_wps(weights))
 
 
-def _wps_terminal(ws: tuple[int, ...]) -> bool:
-    """The residue-sum criterion at every singularity index; not validated."""
-    return all(_residue_sums_exceed(ws, g) for g in _subset_gcds(ws))
-
-
 def is_terminal_wps(weights) -> bool:
     """Terminality of a weighted projective space (or any integer weight list).
 
     Checks the residue-sum criterion at every singularity index of the list.
     Vacuously true when there are no indices.
     """
-    return _wps_terminal(_validate_wps(weights))
+    ws = _validate_wps(weights)
+    return all(_residue_sums_exceed(ws, g) for g in _subset_gcds(ws))
 
 
 @dataclass(frozen=True, eq=False)

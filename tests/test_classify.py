@@ -97,9 +97,34 @@ def literal_survivors(dim, bound):
     )
 
 
-@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
+@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
 def test_scan_matches_literal_criterion(dim, bound):
     assert tuple(sorted(_survivors(dim, bound, 1))) == literal_survivors(dim, bound)
+
+
+@pytest.mark.parametrize("dim,bound,tested", [(3, 40, 326), (4, 40, 11529)])
+def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
+    monkeypatch, dim, bound, tested
+):
+    """The scan's packed wall test against ``is_terminal_wps`` on each flip.
+
+    The scan hands the wall test exactly its blowup survivors; recording them
+    during the scan also lets ``_survivors`` clear the tables afterwards.
+    """
+    real = SCAN._walls_terminal
+    seen = []
+
+    def record(ws):
+        seen.append((ws, real(ws)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    _survivors(dim, bound, 1)
+    assert len(seen) == tested
+    for ws, packed in seen:
+        T = BlowupVariety(dim, ws)
+        scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
+        assert packed == scalar, ws
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
@@ -348,19 +373,25 @@ def test_blowup_tables_live_only_during_a_scan(monkeypatch):
     real = SCAN._walls_terminal
 
     def record(ws):
-        sizes.append(len(SCAN._BLOWUP_TABLES))
-        return real(ws)
+        result = real(ws)
+        sizes.append((len(SCAN._BLOWUP_TABLES), len(SCAN._WALL_TABLES)))
+        return result
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     assert len(classify(4, 16).accepted) == 228
-    assert SCAN._BLOWUP_TABLES == {} and max(sizes) > 0
+    assert SCAN._BLOWUP_TABLES == {} and SCAN._WALL_TABLES == {}
+    assert min(min(pair) for pair in sizes) > 0
 
 
 def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
+    real = SCAN._walls_terminal
+
     def fail(ws):
+        real(ws)
+        assert SCAN._BLOWUP_TABLES and SCAN._WALL_TABLES
         raise RuntimeError("wall test failed")
 
     monkeypatch.setattr(SCAN, "_walls_terminal", fail)
     with pytest.raises(RuntimeError):
         classify(4, 16)
-    assert SCAN._BLOWUP_TABLES == {}
+    assert SCAN._BLOWUP_TABLES == {} and SCAN._WALL_TABLES == {}

@@ -248,6 +248,43 @@ class TestClassify:
         assert code == 0
         assert (tmp_path / "rel.csv").exists()
 
+    @pytest.mark.parametrize("stabilize", [[], ["--stabilize"]])
+    def test_out_in_missing_dir_exits_2_before_any_scan(
+        self, scans, capsys, tmp_path, stabilize
+    ):
+        target = tmp_path / "no-such-dir" / "x.csv"
+        code, text = run_cli(
+            ["classify", "--dim", "3", "--bound", "8", "--format", "csv",
+             "--out", str(target)] + stabilize
+        )
+        assert code == 2
+        assert text == "" and scans == []
+        assert capsys.readouterr().err == (
+            f"error: --out directory does not exist: {target.parent}\n"
+        )
+        assert not target.parent.exists()
+
+    def test_out_that_is_a_directory_exits_2_before_any_scan(self, scans, capsys, tmp_path):
+        code, text = run_cli(
+            ["classify", "--dim", "3", "--bound", "8", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert text == "" and scans == []
+        assert "error: --out is not a writable file path" in capsys.readouterr().err
+
+    def test_over_budget_with_out_exits_2_and_creates_no_file(
+        self, scans, capsys, tmp_path
+    ):
+        target = tmp_path / "x.csv"
+        code, text = run_cli(
+            ["classify", "--dim", "4", "--bound", "131", "--format", "csv",
+             "--out", str(target)]
+        )
+        assert code == 2
+        assert text == "" and scans == []
+        assert "the largest bound is 130" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stabilize_flag(self):
         code, doc = run_json(
             ["classify", "--dim", "3", "--bound", "16", "--stabilize"]

@@ -12,7 +12,7 @@ from wblinks import (
     is_terminal_wps,
     singularity_indices,
 )
-from wblinks.singularity import _SUBSET_CAP, _blowup_table, _residue_sums_exceed
+from wblinks.singularity import _SUBSET_CAP, _residue_sums_exceed, _residue_table
 
 
 class TestTerminalCqs:
@@ -66,7 +66,7 @@ class TestPackedBlowupTest:
         for ws in combinations_with_replacement(range(1, bound + 1), dim):
             V = sum(ws) - 1
             if V not in tables:
-                tables[V] = _blowup_table(V, dim, bound)
+                tables[V] = _residue_table(V, dim, bound)
             assert packed_blowup_terminal(ws, tables[V]) == _residue_sums_exceed(ws, V), ws
 
     # The field width is (n * V).bit_length() + 1 bits, so weights up to
@@ -82,8 +82,55 @@ class TestPackedBlowupTest:
     @example([1, 1, 2, 1997])
     def test_matches_scalar_loop_on_large_weights(self, ws):
         V = sum(ws) - 1
-        table = _blowup_table(V, len(ws), max(ws))
+        table = _residue_table(V, len(ws), max(ws))
         assert packed_blowup_terminal(ws, table) == _residue_sums_exceed(tuple(ws), V)
+
+
+def packed_terminal(ws, r):
+    """The packed criterion at index r on any integer list, as the wall test runs it."""
+    P, K, high = _residue_table(r, len(ws), r - 1)
+    return (K + sum(P[w % r] for w in ws)) & high == high
+
+
+class TestPackedResidueTable:
+    """The packed criterion on arbitrary integer lists against the scalar loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_scalar_loop_on_every_residue_list(self, n):
+        for r in range(2, 14):
+            for ws in combinations_with_replacement(range(r), n):
+                assert packed_terminal(ws, r) == _residue_sums_exceed(ws, r), (ws, r)
+
+    # Fields are F = (n * r).bit_length() + 1 bits wide, with the top bit
+    # H = 2**(F - 1) > n * r.  The examples sit at the field-width edges:
+    # r = 2, the narrowest fields; n * r a power of two, where H = 2 * n * r;
+    # and n * r = 2**m - 1, where H = n * r + 1 is as small as it can be.
+    # Lists of r - 1 reach the largest sum, n * (r - 1), at k = 1.  The
+    # last two examples are terminal lists whose largest residue sums would
+    # carry into the next field with one bit less.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-600, 600), min_size=1, max_size=7), st.integers(2, 300))
+    @example([1], 2)
+    @example([1, 1, 1, 1], 2)
+    @example([-1, 0, 1, 2, 3, 4, 5], 2)
+    @example([1, 1, 1, 1], 4)
+    @example([3, 3, 3, 3], 4)
+    @example([1, 1, 2], 8)
+    @example([63, 63, 63, 63], 64)
+    @example([-1, -1, 62, 63], 64)
+    @example([127, 127], 128)
+    @example([4, 4, 4], 5)
+    @example([1, 2, 3], 5)
+    @example([8, 8, 8, 8, 8, 8, 8], 9)
+    @example([50, 50, 50, 50, 50], 51)
+    @example([72, 72, 72, 72, 72, 72, 72], 73)
+    @example([-1, 0, 1, 35, 36, 37, 73], 73)
+    @example([254], 255)
+    @example([-1, 300, 299, 0, 1, 2, 3], 300)
+    @example([3, 4, 4, 4, 3, 4], 5)
+    @example([2, 7, 7, 2, 5, 7, 5], 8)
+    def test_matches_scalar_loop_on_integer_lists(self, ws, r):
+        assert packed_terminal(ws, r) == _residue_sums_exceed(tuple(ws), r)
 
 
 class TestSingularityIndices:
@@ -116,6 +163,18 @@ class TestTerminalWps:
 
     def test_terminal_end_model(self):
         assert is_terminal_wps([1, 3, 4, 5]) is True
+
+    # The scan's wall test checks a flip only at its own entries > 1: the
+    # criterion at an index implies it at each divisor, and every subset
+    # gcd divides an entry.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=7))
+    @example([-1, -1, 2, 3])
+    @example([-1, -2, 4, 6, 10])
+    @example([-1, -4, 0, 8, 12, 20])
+    def test_entries_alone_decide_terminality(self, ws):
+        at_entries = all(_residue_sums_exceed(tuple(ws), e) for e in set(ws) if e > 1)
+        assert at_entries == is_terminal_wps(ws)
 
     def test_subset_cap(self):
         assert is_terminal_wps([-1] + [2] * _SUBSET_CAP) is False
