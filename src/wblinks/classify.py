@@ -20,9 +20,8 @@ target is terminal by the proof in ``wblinks.link``).  The scan's blowup
 and wall tests are packed: both sum rows of ``_residue_table`` and test
 every k of the residue-sum criterion with one mask.  ``build_link``
 re-checks the blowup and every wall with the scalar residue-sum loop,
-which shares no code with the packed test; it tests each flip at all its
-subset gcds, where the scan tests only the flip's own terms, which is
-equivalent (see ``_walls_terminal``).  So a scan bug can only lose
+which shares no code with the packed test; both test each flip at its own
+entries > 1 (see ``is_terminal_wps``).  So a scan bug can only lose
 candidates, never add spurious ones; the pruned-vs-naive and
 scan-vs-literal-criterion tests guard the losing direction, and the
 packed-vs-scalar tests compare the two forms of the criterion.
@@ -127,14 +126,9 @@ _WALL_TABLES: dict[int, dict[int, tuple[list[int], int, int]]] = {}
 def _walls_terminal(ws: tuple[int, ...]) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
-    The flip at a wall v < ws[-2] has the terms (-1, -v, *(w - v for w in
-    ws)): ``link.wall_flip_weights`` and one more 0, which adds nothing to a
-    residue sum and is no index.  Each flip is tested at its own terms
-    e > 1 only, not at the rest of its subset gcds, and that is exact:
-    the criterion at e implies it at every divisor g of e.  At k = m * e / g,
-    each residue (k * w) % e is e / g times (m * w) % g, so s_e(k) > e iff
-    s_g(m) > g, for m = 1,...,g-1.  Every subset gcd divides a term, so
-    this decides what ``is_terminal_wps`` decides on each flip.
+    This is ``is_terminal_wps``'s rule, packed, on each flip
+    (-1, -v, *(w - v for w in ws)): ``link.wall_flip_weights`` plus one 0
+    term, which adds nothing to a residue sum and is no entry > 1.
     """
     n = len(ws) + 2
     tables = _WALL_TABLES.setdefault(n, {})
@@ -274,6 +268,10 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       c - 1, which forces c <= 3 or b = 2.  (1, 1, c) has no wall.
     - -K is interior iff c < 3b.  That leaves (1, 1, 1) and (1, 1, 2) for
       b = 1, and (1, 2, 3) and (1, 2, 5) for 1 < b < c.
+
+    In dimension 4 the answer, 421 quadruples with top weight <= 39, is
+    computed, not proved.  CI checks that it is complete to top weight 130:
+    ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """
     _check_scan(dim, bound)
     jobs = worker_count(jobs, dim, bound)

@@ -29,8 +29,8 @@ into a lower side (u, x_0, and each x_i with a_i < w) and an upper side
   the locus that flip creates.  The stabilizer of x_i is the C* acting
   with the flip weights, so the point is 1/(a_j - v)(flip weights): the
   entry a_j - v, of x_j itself, adds 0 to every residue sum, and a_j - v
-  is one of the indices at which ``is_terminal_wps(flip)`` tests the
-  criterion.  So, wall by wall, every model T_1, ..., T_n is terminal.
+  is an entry of the flip, so ``is_terminal_wps(flip)`` tests the
+  criterion there.  So, wall by wall, every model T_1, ..., T_n is terminal.
 - The final contraction is K-negative.  The curves it contracts are zero
   on H - wE and positive on the interior of Nef(T_n), so they are positive
   on the whole open half-plane on that side of H - wE.  That half-plane

@@ -6,10 +6,15 @@ decided by the residue-sum criterion: the singularity is terminal iff
 
     sum_i smallest_residue(k * a_i, r)  >  r    for every k = 1,...,r-1.
 
-The public checks run it as a scalar loop over k.  The classification scan
-instead decides every k at once with the packed tables of
-``_residue_table``: one bit field per k, offset so that a field's top bit
-is set iff its residue sum exceeds r.  That offset is the same for every
+A weighted projective space P(a_1,...,a_n), or any integer weight list,
+is terminal iff the criterion holds at each of its distinct entries e > 1
+(``is_terminal_wps`` proves that this equals the test at every subset
+gcd).  The subset-gcd closure itself serves only ``singularity_indices``.
+
+The public checks run the criterion as a scalar loop over k.  The
+classification scan instead decides every k at once with the packed tables
+of ``_residue_table``: one bit field per k, offset so that a field's top
+bit is set iff its residue sum exceeds r.  That offset is the same for every
 weight list, so one table form serves both the scan's blowup test and its
 wall test.
 
@@ -22,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-# The subset-gcd enumeration is exponential in the number of entries > 1.
-# Inputs in this artifact have at most 6 such entries; the cap just turns
-# an accidental misuse into a clear error.
+# The most entries > 1 that ``singularity_indices`` takes.  Inputs in this
+# artifact have at most 6 such entries; the cap just turns an accidental
+# misuse into a clear error.
 _SUBSET_CAP = 20
 
 
@@ -130,31 +135,6 @@ def is_terminal_blowup(weights) -> bool:
     return is_terminal_cqs(ws, sum(ws) - 1)
 
 
-def _validate_wps(weights) -> tuple[int, ...]:
-    ws = _validate_weights(weights)
-    big = sum(1 for w in ws if w > 1)
-    if big > _SUBSET_CAP:
-        raise ValueError(
-            f"too many entries > 1 ({big} > {_SUBSET_CAP}); "
-            "subset-gcd enumeration would be intractable"
-        )
-    return ws
-
-
-def _subset_gcds(ws: tuple[int, ...]) -> tuple[int, ...]:
-    """Ascending gcds g > 1 of the nonempty subsets of the entries > 1.
-
-    Inputs are not validated: the public callers check them first.
-    """
-    # Incremental subset-gcd closure: after processing x, `seen` holds the
-    # gcd of every nonempty subset processed so far.
-    seen: set[int] = set()
-    for x in ws:
-        if x > 1:
-            seen |= {gcd(x, g) for g in seen} | {x}
-    return tuple(sorted(g for g in seen if g > 1))
-
-
 def singularity_indices(weights) -> tuple[int, ...]:
     """Indices of the singularities of the weighted projective space P(weights).
 
@@ -162,17 +142,38 @@ def singularity_indices(weights) -> tuple[int, ...]:
     of the entries strictly greater than 1.  Entries <= 1 (zeros, negatives)
     never contribute.
     """
-    return _subset_gcds(_validate_wps(weights))
+    ws = _validate_weights(weights)
+    big = [w for w in ws if w > 1]
+    if len(big) > _SUBSET_CAP:
+        raise ValueError(
+            f"too many entries > 1 ({len(big)} > {_SUBSET_CAP}); "
+            "subset-gcd enumeration would be intractable"
+        )
+    # Incremental subset-gcd closure: after processing x, `seen` holds the
+    # gcd of every nonempty subset processed so far.
+    seen: set[int] = set()
+    for x in big:
+        seen |= {gcd(x, g) for g in seen} | {x}
+    return tuple(sorted(g for g in seen if g > 1))
 
 
 def is_terminal_wps(weights) -> bool:
     """Terminality of a weighted projective space (or any integer weight list).
 
-    Checks the residue-sum criterion at every singularity index of the list.
-    Vacuously true when there are no indices.
+    By definition the residue-sum criterion holds at every singularity
+    index, every gcd g > 1 of a subset of the entries > 1.  It is tested
+    at the distinct entries e > 1 only, which decides the same:
+
+    - the criterion at e implies it at every divisor g > 1 of e: at
+      k = m * e / g, each residue (k * w) % e is e / g times (m * w) % g,
+      so s_e(k) > e iff s_g(m) > g, for m = 1,...,g-1;
+    - every subset gcd divides an entry, and every entry e > 1 is the
+      gcd of the subset {e}.
+
+    Vacuously true when no entry exceeds 1.
     """
-    ws = _validate_wps(weights)
-    return all(_residue_sums_exceed(ws, g) for g in _subset_gcds(ws))
+    ws = _validate_weights(weights)
+    return all(_residue_sums_exceed(ws, e) for e in set(ws) if e > 1)
 
 
 @dataclass(frozen=True, eq=False)

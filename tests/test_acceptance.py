@@ -11,7 +11,7 @@ import itertools
 import math
 import time
 
-from wblinks.classify import classify, shape_of, stabilization_check
+from wblinks.classify import classify, classify_stable, shape_of
 from wblinks.link import (
     DivContraction,
     Fibration,
@@ -78,14 +78,15 @@ def test_criterion_1_p3_classification():
 
 
 def test_criterion_2_p4_classification():
-    run = classify(4, STABLE_BOUND_DIM4)
+    # One scan at twice the bound gives the run at the bound and whether
+    # the accepted set is unchanged when the bound doubles.
+    run, stable = classify_stable(4, STABLE_BOUND_DIM4)
     assert len(run.accepted) == P4_EXPECTED_TOTAL
     assert run.shape_counts == P4_SHAPE_COUNTS
     accepted = set(run.accepted)
     for ws in P4_EXPLICIT_TUPLES:
         assert ws in accepted, f"{ws} missing from accepted set"
-    # Stabilization: the accepted set is unchanged when the bound doubles.
-    assert stabilization_check(4, STABLE_BOUND_DIM4)
+    assert stable
     _report(2, "P^4 classification, 421 quadruples with shape breakdown")
 
 

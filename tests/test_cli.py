@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from wblinks.cli import main, render_report
+from wblinks.singularity import _SUBSET_CAP
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -97,6 +98,19 @@ class TestCheck:
         assert code == 2
         assert text == ""
         assert message in capsys.readouterr().err
+
+    def test_too_many_entries_above_one_exits_2(self, capsys):
+        weights = ",".join(["-1"] + ["2"] * (_SUBSET_CAP + 1))
+        code, text = run_cli(["check", f"--weights={weights}"])
+        assert code == 2
+        assert text == ""
+        assert "too many entries > 1" in capsys.readouterr().err
+
+    def test_index_not_an_entry(self):
+        code, doc = run_json(["check", "--weights=-1,-2,4,6,10"])
+        assert code == 0
+        assert doc["result"]["singularity_indices"] == [2, 4, 6, 10]
+        assert doc["result"]["wps_terminal"] is False
 
 
 class TestLink:

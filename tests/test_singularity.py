@@ -164,22 +164,23 @@ class TestTerminalWps:
     def test_terminal_end_model(self):
         assert is_terminal_wps([1, 3, 4, 5]) is True
 
-    # The scan's wall test checks a flip only at its own entries > 1: the
-    # criterion at an index implies it at each divisor, and every subset
-    # gcd divides an entry.
+    # ``is_terminal_wps`` tests a list only at its own entries > 1; the
+    # definition tests every subset gcd.  The criterion at an index implies
+    # it at each divisor, and every subset gcd divides an entry.
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-60, 60), min_size=1, max_size=7))
     @example([-1, -1, 2, 3])
     @example([-1, -2, 4, 6, 10])
     @example([-1, -4, 0, 8, 12, 20])
     def test_entries_alone_decide_terminality(self, ws):
-        at_entries = all(_residue_sums_exceed(tuple(ws), e) for e in set(ws) if e > 1)
-        assert at_entries == is_terminal_wps(ws)
+        at_indices = all(
+            _residue_sums_exceed(tuple(ws), g) for g in singularity_indices(ws)
+        )
+        assert at_indices == is_terminal_wps(ws)
 
     def test_subset_cap(self):
         assert is_terminal_wps([-1] + [2] * _SUBSET_CAP) is False
-        with pytest.raises(ValueError, match="too many entries > 1"):
-            is_terminal_wps([-1] + [2] * (_SUBSET_CAP + 1))
+        assert is_terminal_wps([-1] + [2] * (_SUBSET_CAP + 1)) is False
         with pytest.raises(ValueError, match="too many entries > 1"):
             singularity_indices([2] * (_SUBSET_CAP + 1))
 
