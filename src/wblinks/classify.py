@@ -17,12 +17,12 @@ Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
 those three stages, which are the whole of acceptance (a divisorial end's
 target is terminal by the proof in ``wblinks.link``).  The scan's blowup
-and wall tests are packed: both sum rows of ``_residue_table`` and test
-every k of the residue-sum criterion with one mask.  ``build_link``
-re-checks the blowup and every wall with the scalar residue-sum loop,
-which shares no code with the packed test; both test each flip at its own
-entries > 1 (see ``is_terminal_wps``).  So a scan bug can only lose
-candidates, never add spurious ones; the pruned-vs-naive and
+and wall tests are packed: both sum rows of the one ``_residue_table`` of
+each index and test every k of the residue-sum criterion with one mask.
+``build_link`` re-checks the blowup and every wall with the scalar
+residue-sum loop, which shares no code with the packed test; both test
+each flip at its own entries > 1 (see ``is_terminal_wps``).  So a scan bug
+can only lose candidates, never add spurious ones; the pruned-vs-naive and
 scan-vs-literal-criterion tests guard the losing direction, and the
 packed-vs-scalar tests compare the two forms of the criterion.
 """
@@ -30,7 +30,8 @@ packed-vs-scalar tests compare the two forms of the criterion.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -42,16 +43,14 @@ from .singularity import _residue_table
 DEFAULT_BOUNDS = {3: 64, 4: 39}
 
 # The largest bound a scan may run at, per dimension; ``_check_scan`` refuses
-# a larger one before any work.  Dimension 4 is capped by its candidates:
-# 11,922,812 at bound 130, and 131 would pass 12 M (bound 128 takes about
-# 10 s serially and a 44 MB peak on a 2-vCPU Xeon with Python 3.11).
-# Dimension 3 is capped by its packed blowup tables, about 7 * B**3 bytes at
-# bound B: about 31.6 MiB at 170, and 171 would pass 32 MiB.  The wall
-# tables, one per index g < B, add at most the sum of g * (g - 1) * F / 8
-# bytes, F = ((dim + 2) * g).bit_length() + 1: about 2.1 MiB in dimension 3
-# at 170 and 0.9 MiB in dimension 4 at 130.  Measured in process, a
-# dimension-3 scan at 170 holds 33.7 MiB of blowup and 2.7 MiB of wall
-# tables as Python objects, 36.4 MiB in all, and peaks at 52.7 MiB.
+# a larger one before any work.  These are the bounds that a budget of 12 M
+# candidates and 32 MiB of blowup tables admitted: dimension 4 has
+# 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
+# blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
+# Measured in process with Python 3.11, the scan's one set of tables
+# (``_TABLES``) holds 34.4 MiB as Python objects at the end of a dimension-3
+# scan at 170, and 29.0 MiB in dimension 4 at 130; those scans peak at
+# 52 MB and 47 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
@@ -63,8 +62,12 @@ class ClassificationRun:
     bound: int
     accepted: tuple[tuple[int, ...], ...]
     links: tuple[Link, ...]
-    shape_counts: dict[str, int]
     jobs: int
+
+    @property
+    def shape_counts(self) -> dict[str, int]:
+        """Accepted tuples per ``shape_of`` bucket."""
+        return dict(Counter(map(shape_of, self.accepted)))
 
     def restrict(self, bound: int) -> ClassificationRun:
         """The run at a smaller bound: the tuples with top weight <= bound."""
@@ -72,23 +75,12 @@ class ClassificationRun:
             raise ValueError(f"a run at bound {self.bound} cannot restrict to {bound}")
         kept = [(ws, link) for ws, link in zip(self.accepted, self.links)
                 if ws[-1] <= bound]
-        return _run(self.dim, bound, kept, self.jobs)
-
-
-def _run(dim, bound, pairs, jobs) -> ClassificationRun:
-    """A run from ascending-sorted (weights, link) pairs, with shape counts."""
-    counts: dict[str, int] = {}
-    for ws, _ in pairs:
-        key = shape_of(ws)
-        counts[key] = counts.get(key, 0) + 1
-    return ClassificationRun(
-        dim=dim,
-        bound=bound,
-        accepted=tuple(ws for ws, _ in pairs),
-        links=tuple(link for _, link in pairs),
-        shape_counts=counts,
-        jobs=jobs,
-    )
+        return replace(
+            self,
+            bound=bound,
+            accepted=tuple(ws for ws, _ in kept),
+            links=tuple(link for _, link in kept),
+        )
 
 
 def shape_of(weights: tuple[int, ...]) -> str:
@@ -111,37 +103,38 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
-# The scan's packed tables, each (P, K, high) from ``_residue_table``.  A
-# blowup table, per index V, covers the dim weights of a candidate up to the
-# bound; a wall table, per index e, covers every residue mod e.  Wall tables
-# are kept per number n of flip terms too, as their field width grows with
-# n, so a call in another dimension never reuses narrower fields.
-# ``_survivors`` clears both when it returns, and a pool worker fills its
-# own.  In dimension 4 the blowup tables take about 14 * B**3 bytes at bound
-# B: 0.9 MB at B = 40, 6.4 MB at B = 78 and 28 MB at B = 128.
-_BLOWUP_TABLES: dict[int, tuple[list[int], int, int]] = {}
-_WALL_TABLES: dict[int, dict[int, tuple[list[int], int, int]]] = {}
+# The scan's packed tables, one per index r, each (P, K, high) from
+# ``_residue_table(r, dim + 1, bound)``; both scan tests share them.  A
+# blowup index V needs the rows of weights up to the bound, a wall index
+# e <= bound - 1 every residue mod e, which those rows are.  Neither test
+# sums more than dim + 1 nonzero terms, so one field width serves both.
+# ``_survivors`` clears the tables when it returns, and a pool worker fills
+# its own.  They take about 7 * B**3 bytes at bound B in dimension 3 and
+# 14 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.3 MiB at B = 78.
+_TABLES: dict[int, tuple[list[int], int, int]] = {}
 
 
 def _walls_terminal(ws: tuple[int, ...]) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
     This is ``is_terminal_wps``'s rule, packed, on each flip
-    (-1, -v, *(w - v for w in ws)): ``link.wall_flip_weights`` plus one 0
-    term, which adds nothing to a residue sum and is no entry > 1.
+    (-1, -v, *(w - v for w in ws if w != v)): ``link.wall_flip_weights``
+    without its zeros, which add nothing to a residue sum and are no entry
+    > 1.  That leaves at most dim + 1 terms.  Every entry e > 1 is at most
+    ws[-1] - 1, so the table built here is the one the blowup test builds
+    at index e.
     """
-    n = len(ws) + 2
-    tables = _WALL_TABLES.setdefault(n, {})
+    n = len(ws) + 1
     for v in set(ws[:-2]):
         if v >= ws[-2]:
             continue
-        terms = (-1, -v, *[w - v for w in ws])
+        terms = (-1, -v, *[w - v for w in ws if w != v])
         for e in terms:
             if e < 2:
                 continue
-            table = tables.get(e)
+            table = _TABLES.get(e)
             if table is None:
-                table = tables[e] = _residue_table(e, n, e - 1)
+                table = _TABLES[e] = _residue_table(e, n, ws[-1])
             P, K, high = table
             x = K
             for t in terms:
@@ -166,14 +159,14 @@ def _scan_partition(args):
     """
     dim, bound, head = args
     h = sum(head)
-    tables = _BLOWUP_TABLES
+    tables = _TABLES
     out = []
     for c in range(head[-1], bound + 1):
         for d in range(c, min(bound, dim * c - h) + 1):
             V = h + c + d - 1
             table = tables.get(V)
             if table is None:
-                table = tables[V] = _residue_table(V, dim, bound)
+                table = tables[V] = _residue_table(V, dim + 1, bound)
             P, K, high = table
             x = K + P[c] + P[d]
             for a in head:
@@ -204,26 +197,8 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
         for chunk in chunks:
             out.extend(chunk)
     finally:
-        _BLOWUP_TABLES.clear()
-        _WALL_TABLES.clear()
+        _TABLES.clear()
     return out
-
-
-def default_jobs() -> int:
-    """Worker count from WBLINKS_JOBS, or 1 when it is unset."""
-    env = os.environ.get("WBLINKS_JOBS")
-    return check_jobs(env, "WBLINKS_JOBS") if env else 1
-
-
-def check_jobs(jobs, source: str = "jobs") -> int:
-    """Return jobs as an int; raise ValueError unless it is an integer >= 1."""
-    try:
-        n = int(jobs)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {jobs!r}")
-    return n
 
 
 def _check_scan(dim: int, bound: int) -> None:
@@ -245,8 +220,10 @@ def worker_count(jobs: int, dim: int, bound: int) -> int:
     The fork pool starts all its workers at once, so an uncapped count would
     start that many processes.
     """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     partitions = comb(bound + dim - 3, dim - 2)
-    return min(check_jobs(jobs), len(os.sched_getaffinity(0)), partitions)
+    return min(jobs, len(os.sched_getaffinity(0)), partitions)
 
 
 def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
@@ -275,8 +252,15 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     """
     _check_scan(dim, bound)
     jobs = worker_count(jobs, dim, bound)
-    pairs = [(ws, build_link(ws, dim)) for ws in sorted(_survivors(dim, bound, jobs))]
-    return _run(dim, bound, [p for p in pairs if isinstance(p[1], Link)], jobs)
+    links = {ws: build_link(ws, dim) for ws in sorted(_survivors(dim, bound, jobs))}
+    accepted = tuple(ws for ws, link in links.items() if isinstance(link, Link))
+    return ClassificationRun(
+        dim=dim,
+        bound=bound,
+        accepted=accepted,
+        links=tuple(links[ws] for ws in accepted),
+        jobs=jobs,
+    )
 
 
 def classify_stable(

@@ -22,10 +22,9 @@ from .classify import (
     MAX_BOUNDS,
     classify,
     classify_stable,
-    default_jobs,
     end_summary,
 )
-from .link import Link, display_orientation
+from .link import Link, build_link, display_orientation
 from .singularity import (
     is_terminal_blowup,
     is_terminal_cqs,
@@ -149,8 +148,6 @@ def _serialize_link(result) -> dict:
 
 
 def cmd_link(args, out) -> int:
-    from .link import build_link
-
     started = time.perf_counter()
     weights = _parse_weights(args.weights)
     if len(weights) != args.dim:
@@ -166,15 +163,12 @@ def cmd_link(args, out) -> int:
 
 
 def _out_path(path: str) -> str:
-    """The --out path, under WBLINKS_OUT_DIR when relative.
+    """The --out path, checked before any scan.
 
     Raises InputError unless the path's directory exists and is writable and
     the path is not a directory, so that a scan never runs for an output it
     cannot write.  The file itself is created only once the scan is done.
     """
-    out_dir = os.environ.get("WBLINKS_OUT_DIR")
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise InputError(f"--out directory does not exist: {parent}")
@@ -221,13 +215,12 @@ def _classify_table(run, stabilized) -> str:
 
 def cmd_classify(args, out) -> int:
     started = time.perf_counter()
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
     path = _out_path(args.out) if args.out else None
     if args.stabilize:
-        run, stabilized = classify_stable(args.dim, bound, jobs=jobs)
+        run, stabilized = classify_stable(args.dim, bound, jobs=args.jobs)
     else:
-        run, stabilized = classify(args.dim, bound, jobs=jobs), None
+        run, stabilized = classify(args.dim, bound, jobs=args.jobs), None
     inputs = {"dim": args.dim, "bound": bound, "jobs": run.jobs}
     if args.format == "json":
         text = _json(
@@ -300,9 +293,8 @@ def render_report(dim: int, bound: int, jobs: int = 1) -> str:
 
 
 def cmd_report(args, out) -> int:
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
-    out.write(render_report(args.dim, bound, jobs=jobs))
+    out.write(render_report(args.dim, bound, jobs=args.jobs))
     out.write("\n")
     return 0
 
@@ -320,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         f"default: {DEFAULT_BOUNDS[3]} in dim 3, {DEFAULT_BOUNDS[4]} in dim 4; "
         f"at most {MAX_BOUNDS[3]} and {MAX_BOUNDS[4]}"
     ))
-    scan.add_argument("--jobs", type=int, default=None)
+    scan.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("check", help="terminality checks on one weight list")
     p.add_argument("-w", "--weights", required=True, help="comma-separated integers (use --weights=-1,2,3 for negatives)")

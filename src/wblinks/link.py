@@ -93,11 +93,6 @@ class Rejected:
 LinkResult = Link | Rejected
 
 
-def _interior_walls(ws: tuple[int, ...]) -> list[int]:
-    """Distinct values below the second-largest of an ascending tuple."""
-    return sorted(set(v for v in ws if v < ws[-2]))
-
-
 def _flip_weights(ws: tuple[int, ...], v: int) -> tuple[int, ...]:
     """Flip weights at the wall H - vE of an ascending tuple; v not checked."""
     rest = list(ws)
@@ -111,7 +106,7 @@ def interior_walls(T: BlowupVariety) -> list[int]:
     Each is one wall of the chamber decomposition crossed by one small
     modification on the way from Nef(T) to the far boundary of Mov(T).
     """
-    return _interior_walls(T.weights)
+    return sorted({v for v in T.weights if v < T.second_largest})
 
 
 def wall_flip_weights(T: BlowupVariety, v: int) -> tuple[int, ...]:
@@ -121,7 +116,7 @@ def wall_flip_weights(T: BlowupVariety, v: int) -> tuple[int, ...]:
     with one occurrence of v removed.  Zeros occur exactly when v is a
     repeated weight (fibre-wise modification).
     """
-    if v not in _interior_walls(T.weights):
+    if v not in interior_walls(T):
         raise ValueError(f"{v} is not an interior wall of {T}")
     return _flip_weights(T.weights, v)
 
@@ -175,7 +170,7 @@ def build_link(weights, dim: int) -> LinkResult:
     if not antik_in_interior_mov(T):
         return Rejected(STAGE_INTERIOR, None, f"weights={T.weights}")
     steps = []
-    for v in _interior_walls(T.weights):
+    for v in interior_walls(T):
         flip = _flip_weights(T.weights, v)
         if not is_terminal_wps(flip):
             return Rejected(STAGE_WALL, v, f"flip_weights={flip}")

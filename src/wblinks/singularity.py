@@ -15,8 +15,9 @@ The public checks run the criterion as a scalar loop over k.  The
 classification scan instead decides every k at once with the packed tables
 of ``_residue_table``: one bit field per k, offset so that a field's top
 bit is set iff its residue sum exceeds r.  That offset is the same for every
-weight list, so one table form serves both the scan's blowup test and its
-wall test.
+weight list, and a table's field width depends only on n, the number of
+terms that can have a nonzero residue; so one table per index serves both
+the scan's blowup test and its wall test.
 
 Everything here is exact integer arithmetic on immutable values; all
 functions are pure and thread-safe.
@@ -79,25 +80,28 @@ def _residue_sums_exceed(ws: tuple[int, ...], r: int) -> bool:
 
 
 def _residue_table(r: int, n: int, top: int) -> tuple[list[int], int, int]:
-    """Packed residues for the criterion at index r on n weights at a time.
+    """Packed residues for the criterion at index r, n nonzero terms at a time.
 
     Returns (P, K, high).  Field k - 1 of an integer, k = 1,...,r-1, is the
     F bits above bit F * (k - 1), with F = (n * r).bit_length() + 1.  P[x]
     holds (k * x) % r in field k - 1, for x = 0,...,min(r - 1, top).  Then
-    any n integers ws (negative or zero too) give a terminal 1/r(ws) iff
+    any integers ws (negative or zero too) with at most n terms nonzero
+    mod r give a terminal 1/r(ws) iff
 
         (K + sum(P[w % r] for w in ws)) & high == high,
 
-    and this test is exact.  Let H = 2**(F - 1); high holds H in every field
-    and K holds H - r - 1.  The sum holds s(k) + H - r - 1 in field k - 1,
-    where s(k) is the sum of the residues at k, with no borrow or carry
-    between fields: 0 <= s(k) <= n * (r - 1), and n * r < H, so each field
-    stays in [H - r - 1, 2 * H).  The field's top bit is set iff
-    s(k) >= r + 1, so all top bits are set iff s(k) > r for every k, which
-    is the residue-sum criterion (Reid-Tai; M. Reid, "Young person's guide
-    to canonical singularities", 1987).  The offset is the same for every
-    list, so no identity between the weights is needed: a blowup's
-    sum(ws) = r + 1 makes s(k) = k mod r, but the test does not rely on it.
+    and this test is exact.  So n counts only the terms that can have a
+    nonzero residue; a term 0 mod r adds the row P[0] = 0.  Let
+    H = 2**(F - 1); high holds H in every field and K holds H - r - 1.  The
+    sum holds s(k) + H - r - 1 in field k - 1, where s(k) is the sum of the
+    residues at k, with no borrow or carry between fields:
+    0 <= s(k) <= n * (r - 1), and n * r < H, so each field stays in
+    [H - r - 1, 2 * H).  The field's top bit is set iff s(k) >= r + 1, so
+    all top bits are set iff s(k) > r for every k, which is the residue-sum
+    criterion (Reid-Tai; M. Reid, "Young person's guide to canonical
+    singularities", 1987).  The offset is the same for every list, so no
+    identity between the weights is needed: a blowup's sum(ws) = r + 1
+    makes s(k) = k mod r, but the test does not rely on it.
     Weights below r need no reduction, as in the scan's blowup test.
 
     No per-k loop: q holds k in field k - 1, and P[x] is P[x - 1] + q with

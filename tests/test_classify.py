@@ -24,7 +24,6 @@ from wblinks.classify import (
     MAX_BOUNDS,
     _survivors,
     classify_stable,
-    default_jobs,
     worker_count,
 )
 from wblinks.link import STAGE_WALL
@@ -301,17 +300,6 @@ def test_jobs_below_one_rejected(jobs):
         classify(3, 4, jobs=jobs)
 
 
-def test_default_jobs_from_env(monkeypatch):
-    monkeypatch.delenv("WBLINKS_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("WBLINKS_JOBS", "3")
-    assert default_jobs() == 3
-    for bad in ("abc", "0", "-2", "1.5"):
-        monkeypatch.setenv("WBLINKS_JOBS", bad)
-        with pytest.raises(ValueError, match="WBLINKS_JOBS must be an integer >= 1"):
-            default_jobs()
-
-
 @pytest.fixture
 def no_scan(monkeypatch):
     """Fail the test if a scan starts."""
@@ -368,19 +356,47 @@ def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
         assert admitted == expected.get(dim, []), dim
 
 
+@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
+def test_both_tests_share_one_table_per_index(monkeypatch, dim, bound):
+    """Each index's table is built once, equal to the blowup test's form."""
+    real = SCAN._residue_table
+    built = []
+
+    def record(r, n, top):
+        built.append((r, n, top))
+        return real(r, n, top)
+
+    monkeypatch.setattr(SCAN, "_residue_table", record)
+    _survivors(dim, bound, 1)
+    indices = [r for r, _, _ in built]
+    assert len(indices) == len(set(indices))
+    assert max(indices) > bound and min(indices) == 2
+    for r, n, top in built:
+        assert real(r, n, top) == real(r, dim + 1, bound), r
+    # A pool worker can meet a wall index before the blowup index equal to
+    # it, so from empty tables the wall test builds the same tables.
+    built.clear()
+    for ws in literal_blowup_survivors(dim, bound)[::10]:
+        monkeypatch.setattr(SCAN, "_TABLES", {})
+        SCAN._walls_terminal(ws)
+        for r, table in SCAN._TABLES.items():
+            assert table == real(r, dim + 1, bound), (ws, r)
+    assert len(built) > 10
+
+
 def test_blowup_tables_live_only_during_a_scan(monkeypatch):
     sizes = []
     real = SCAN._walls_terminal
 
     def record(ws):
         result = real(ws)
-        sizes.append((len(SCAN._BLOWUP_TABLES), len(SCAN._WALL_TABLES)))
+        sizes.append(len(SCAN._TABLES))
         return result
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     assert len(classify(4, 16).accepted) == 228
-    assert SCAN._BLOWUP_TABLES == {} and SCAN._WALL_TABLES == {}
-    assert min(min(pair) for pair in sizes) > 0
+    assert SCAN._TABLES == {}
+    assert min(sizes) > 0
 
 
 def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
@@ -388,10 +404,10 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
 
     def fail(ws):
         real(ws)
-        assert SCAN._BLOWUP_TABLES and SCAN._WALL_TABLES
+        assert SCAN._TABLES
         raise RuntimeError("wall test failed")
 
     monkeypatch.setattr(SCAN, "_walls_terminal", fail)
     with pytest.raises(RuntimeError):
         classify(4, 16)
-    assert SCAN._BLOWUP_TABLES == {} and SCAN._WALL_TABLES == {}
+    assert SCAN._TABLES == {}

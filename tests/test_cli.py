@@ -114,34 +114,6 @@ class TestCheck:
 
 
 class TestLink:
-    def test_accepted(self):
-        code, doc = run_json(["link", "-w", "1,2,5", "--dim", "3"])
-        assert code == 0
-        result = doc["result"]
-        assert result["accepted"] is True
-        assert result["end"]["kind"] == "divisorial_contraction"
-        assert result["end"]["target_weights"] == [1, 3, 4, 5]
-
-    def test_rejected_is_exit_zero(self):
-        code, doc = run_json(["link", "-w", "1,3,4", "--dim", "3"])
-        assert code == 0
-        result = doc["result"]
-        assert result["accepted"] is False
-        assert result["rejection"]["stage"] == "wall_not_terminal"
-        assert result["rejection"]["wall"] == 1
-
-    def test_flop_then_fibration(self):
-        code, doc = run_json(["link", "-w", "1,1,2,2", "--dim", "4"])
-        assert code == 0
-        result = doc["result"]
-        assert result["accepted"] is True
-        assert result["steps"][0]["flip_weights"] == [-1, -1, 0, 1, 1]
-        assert result["end"] == {
-            "kind": "fibration",
-            "base_dim": 1,
-            "fiber_weights": [1, 1, 1, 2],
-        }
-
     def test_unsorted_input_echoed_and_canonicalized(self):
         code, doc = run_json(["link", "-w", "5,1,2", "--dim", "3"])
         assert code == 0
@@ -252,15 +224,6 @@ class TestClassify:
         rows = list(csv.reader(target.open()))
         assert rows[0] == ["weights", "end_kind", "target"]
         assert doc["result"]["total"] == 4
-
-    def test_out_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WBLINKS_OUT_DIR", str(tmp_path))
-        code, _ = run_json(
-            ["classify", "--dim", "3", "--bound", "16", "--format", "csv",
-             "--out", "rel.csv"]
-        )
-        assert code == 0
-        assert (tmp_path / "rel.csv").exists()
 
     @pytest.mark.parametrize("stabilize", [[], ["--stabilize"]])
     def test_out_in_missing_dir_exits_2_before_any_scan(
@@ -374,8 +337,7 @@ class TestClassify:
         assert rows == expected
 
     @pytest.mark.parametrize("dim, bound, total", [(3, 64, 4), (4, 39, 421)])
-    def test_default_bound_is_per_dimension(self, scans, monkeypatch, dim, bound, total):
-        monkeypatch.delenv("WBLINKS_JOBS", raising=False)
+    def test_default_bound_is_per_dimension(self, scans, dim, bound, total):
         code, doc = run_json(["classify", "--dim", str(dim)])
         assert code == 0
         assert scans == [(dim, bound, 1)]
@@ -393,13 +355,6 @@ class TestClassify:
         assert code == 2
         assert text == ""
         assert "jobs must be an integer >= 1" in capsys.readouterr().err
-
-    def test_bad_jobs_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("WBLINKS_JOBS", "abc")
-        code, text = run_cli(["classify", "--dim", "3", "--bound", "8"])
-        assert code == 2
-        assert text == ""
-        assert "WBLINKS_JOBS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
 
     def test_table_format(self):
         code, text = run_cli(["classify", "--dim", "3", "--bound", "64", "--format", "table"])
