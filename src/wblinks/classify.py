@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -47,10 +48,9 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # candidates and 32 MiB of blowup tables admitted: dimension 4 has
 # 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
 # blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
-# Measured in process with Python 3.11, the scan's one set of tables
-# (``_TABLES``) holds 34.4 MiB as Python objects at the end of a dimension-3
-# scan at 170, and 29.0 MiB in dimension 4 at 130; those scans peak at
-# 52 MB and 47 MB.
+# Measured in process with Python 3.11, the scan's tables (``_tables``)
+# hold 34.4 MiB as Python objects in a dimension-3 scan at 170, and
+# 29.0 MiB in dimension 4 at 130; those scans peak at 52 MB and 47 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
@@ -103,28 +103,31 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
-# The scan's packed tables, one per index r, each (P, K, high) from
-# ``_residue_table(r, dim + 1, bound)``; both scan tests share them.  A
-# blowup index V needs the rows of weights up to the bound, a wall index
-# e <= bound - 1 every residue mod e, which those rows are.  Neither test
-# sums more than dim + 1 nonzero terms, so one field width serves both.
-# ``_survivors`` clears the tables when it returns, and a pool worker fills
-# its own.  They take about 7 * B**3 bytes at bound B in dimension 3 and
+# The scan's packed tables: ``tables[r]`` is ``_residue_table(r, dim + 1,
+# bound)`` for every index r = 2, ..., dim * bound - 1 (0 and 1 are unused).
+# The largest blowup index is dim * bound - 1, where every weight is the
+# bound; every wall entry e > 1 is at most bound - 1, and the bound's rows
+# hold every residue mod e.  Neither test sums more than dim + 1 nonzero
+# terms.  A full scan meets every index in that range, so the list is built
+# once, up front, by each process that scans; ``_survivors`` drops it when
+# it returns.  It takes about 7 * B**3 bytes at bound B in dimension 3 and
 # 14 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.3 MiB at B = 78.
-_TABLES: dict[int, tuple[list[int], int, int]] = {}
+@lru_cache(maxsize=1)
+def _tables(dim: int, bound: int) -> list[tuple[list[int], int, int] | None]:
+    return [None, None] + [
+        _residue_table(r, dim + 1, bound) for r in range(2, dim * bound)
+    ]
 
 
-def _walls_terminal(ws: tuple[int, ...]) -> bool:
+def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
     This is ``is_terminal_wps``'s rule, packed, on each flip
     (-1, -v, *(w - v for w in ws if w != v)): ``link.wall_flip_weights``
     without its zeros, which add nothing to a residue sum and are no entry
-    > 1.  That leaves at most dim + 1 terms.  Every entry e > 1 is at most
-    ws[-1] - 1, so the table built here is the one the blowup test builds
-    at index e.
+    > 1.  That leaves at most dim + 1 terms, summed at each entry e > 1 on
+    the rows of ``tables[e]``.
     """
-    n = len(ws) + 1
     for v in set(ws[:-2]):
         if v >= ws[-2]:
             continue
@@ -132,10 +135,7 @@ def _walls_terminal(ws: tuple[int, ...]) -> bool:
         for e in terms:
             if e < 2:
                 continue
-            table = _TABLES.get(e)
-            if table is None:
-                table = _TABLES[e] = _residue_table(e, n, ws[-1])
-            P, K, high = table
+            P, K, high = tables[e]
             x = K
             for t in terms:
                 x += P[t % e]
@@ -150,30 +150,26 @@ def _scan_partition(args):
     The interior-movable inequality (dim + 1) * c > sum(weights) - 1 caps
     the top weight at d <= dim * c - sum(head).  Blowup terminality is the
     residue-sum criterion at index V = sum(weights) - 1, decided for every k
-    at once by summing the rows of the weights in V's ``_residue_table``;
-    every weight is below V, so no row index needs reducing.  The wall test
-    ``_walls_terminal``, packed the same way, runs last on the blowup
+    at once by summing the rows of the weights in ``tables[V]``; every
+    weight is below V, so no row index needs reducing.  The wall test
+    ``_walls_terminal``, on the same tables, runs last on the blowup
     survivors: about one candidate in ten at bound 40 in dimension 4.
     ``build_link`` re-checks each survivor with the scalar loop, which
     shares no code with the packed tests.
     """
     dim, bound, head = args
     h = sum(head)
-    tables = _TABLES
+    tables = _tables(dim, bound)
     out = []
     for c in range(head[-1], bound + 1):
         for d in range(c, min(bound, dim * c - h) + 1):
-            V = h + c + d - 1
-            table = tables.get(V)
-            if table is None:
-                table = tables[V] = _residue_table(V, dim + 1, bound)
-            P, K, high = table
+            P, K, high = tables[h + c + d - 1]
             x = K + P[c] + P[d]
             for a in head:
                 x += P[a]
             if x & high == high:
                 ws = head + (c, d)
-                if _walls_terminal(ws):
+                if _walls_terminal(ws, tables):
                     out.append(ws)
     return out
 
@@ -197,7 +193,7 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
         for chunk in chunks:
             out.extend(chunk)
     finally:
-        _TABLES.clear()
+        _tables.cache_clear()
     return out
 
 
@@ -217,7 +213,7 @@ def _check_scan(dim: int, bound: int) -> None:
 def worker_count(jobs: int, dim: int, bound: int) -> int:
     """Processes a scan starts: jobs capped by the usable CPUs and partitions.
 
-    The fork pool starts all its workers at once, so an uncapped count would
+    The pool starts all its workers at once, so an uncapped count would
     start that many processes.
     """
     if not isinstance(jobs, int) or jobs < 1:

@@ -50,6 +50,11 @@ DIM3_END_ANNOTATIONS = {
 # are refused before any work.
 MAX_INDEX = 10**7
 
+# `check -w` and `link -w` take at most this many weights, refused before any
+# work: their cost grows quadratically with the length, and the lists of the
+# paper have at most 6 entries.
+MAX_WEIGHTS = 20
+
 
 class InputError(Exception):
     pass
@@ -62,6 +67,8 @@ def _check_index(index: int, what: str) -> None:
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
+    if len(parts) > MAX_WEIGHTS:
+        raise InputError(f"at most {MAX_WEIGHTS} weights, got {len(parts)}")
     out = []
     for p in parts:
         try:

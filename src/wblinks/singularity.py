@@ -28,12 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-# The most entries > 1 that ``singularity_indices`` takes.  Inputs in this
-# artifact have at most 6 such entries; the cap just turns an accidental
-# misuse into a clear error.
-_SUBSET_CAP = 20
-
-
 def _validate_weights(weights) -> tuple[int, ...]:
     ws = tuple(int(w) for w in weights)
     if not ws:
@@ -148,11 +142,6 @@ def singularity_indices(weights) -> tuple[int, ...]:
     """
     ws = _validate_weights(weights)
     big = [w for w in ws if w > 1]
-    if len(big) > _SUBSET_CAP:
-        raise ValueError(
-            f"too many entries > 1 ({len(big)} > {_SUBSET_CAP}); "
-            "subset-gcd enumeration would be intractable"
-        )
     # Incremental subset-gcd closure: after processing x, `seen` holds the
     # gcd of every nonempty subset processed so far.
     seen: set[int] = set()

@@ -28,21 +28,6 @@ class DivisorClass:
     h: int
     e: int
 
-    def __str__(self) -> str:
-        if self.h == 0 and self.e == 0:
-            return "0"
-        parts = []
-        if self.h:
-            parts.append("H" if self.h == 1 else f"{self.h}H")
-        if self.e:
-            if self.e == 1:
-                parts.append("+E" if parts else "E")
-            elif self.e == -1:
-                parts.append("-E")
-            else:
-                parts.append(f"{self.e:+}E" if parts else f"{self.e}E")
-        return "".join(parts)
-
 
 H = DivisorClass(1, 0)
 E = DivisorClass(0, 1)

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from wblinks.cli import main, render_report
-from wblinks.singularity import _SUBSET_CAP
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,11 +99,17 @@ class TestCheck:
         assert message in capsys.readouterr().err
 
     def test_too_many_entries_above_one_exits_2(self, capsys):
-        weights = ",".join(["-1"] + ["2"] * (_SUBSET_CAP + 1))
-        code, text = run_cli(["check", f"--weights={weights}"])
-        assert code == 2
-        assert text == ""
-        assert "too many entries > 1" in capsys.readouterr().err
+        """More than 20 weights exit 2 before any work, in check and link."""
+        for argv, count in [
+            (["check", "--weights=-1" + ",2" * 20], 21),
+            (["check", "-w", ",".join(["1"] * 3000)], 3000),
+            (["link", "--dim", "21", "-w", ",".join(["1"] * 21)], 21),
+        ]:
+            started = time.perf_counter()
+            code, text = run_cli(argv)
+            assert time.perf_counter() - started < 1, argv
+            assert code == 2 and text == "", argv
+            assert f"at most 20 weights, got {count}" in capsys.readouterr().err
 
     def test_index_not_an_entry(self):
         code, doc = run_json(["check", "--weights=-1,-2,4,6,10"])

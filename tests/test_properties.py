@@ -112,16 +112,6 @@ def test_wps_is_cqs_at_every_index(ws):
     )
 
 
-def test_kawakita_dimension3_consistency():
-    # terminal triples are exactly (1,a,b) with gcd(a,b)=1, entries <= 30
-    checked = 0
-    for ws in combinations_with_replacement(range(1, 31), 3):
-        expected = ws[0] == 1 and gcd(ws[1], ws[2]) == 1
-        assert is_terminal_blowup(ws) == expected, ws
-        checked += 1
-    assert checked >= 1000
-
-
 def test_weak_fano_degree_positive_and_inequalities():
     # exhaustive over d=3 entries <= 40 and d=4 entries <= 20; together
     # that is > 3000 weak-Fano cases
@@ -194,15 +184,6 @@ def test_flip_sign_convention(ws):
             negated = tuple(-x for x in step.flip_weights)
             assert step.flip_weights.count(0) == negated.count(0)
             assert step.flip_weights.count(-1) >= 1
-
-
-def test_dim3_flip_column_fixtures():
-    from wblinks import display_orientation
-
-    fixtures = {(1, 2, 3): (1, 1, -1, -2), (1, 2, 5): (1, 1, -1, -4)}
-    for ws, column in fixtures.items():
-        res = build_link(list(ws), 3)
-        assert sorted(display_orientation(res.steps[0].flip_weights)) == sorted(column)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -12,7 +12,7 @@ from wblinks import (
     is_terminal_wps,
     singularity_indices,
 )
-from wblinks.singularity import _SUBSET_CAP, _residue_sums_exceed, _residue_table
+from wblinks.singularity import _residue_sums_exceed, _residue_table
 
 
 class TestTerminalCqs:
@@ -149,9 +149,9 @@ class TestSingularityIndices:
     def test_entries_at_most_one_never_contribute(self):
         assert singularity_indices([1, 1, 0, -4]) == ()
 
-    def test_length_cap(self):
-        with pytest.raises(ValueError):
-            singularity_indices([2] * 25)
+    def test_long_lists_close_without_a_cap(self):
+        assert singularity_indices([2] * 25) == (2,)
+        assert singularity_indices([6, 10, 15] * 10) == (2, 3, 5, 6, 10, 15)
 
 
 class TestTerminalWps:
@@ -177,12 +177,6 @@ class TestTerminalWps:
             _residue_sums_exceed(tuple(ws), g) for g in singularity_indices(ws)
         )
         assert at_indices == is_terminal_wps(ws)
-
-    def test_subset_cap(self):
-        assert is_terminal_wps([-1] + [2] * _SUBSET_CAP) is False
-        assert is_terminal_wps([-1] + [2] * (_SUBSET_CAP + 1)) is False
-        with pytest.raises(ValueError, match="too many entries > 1"):
-            singularity_indices([2] * (_SUBSET_CAP + 1))
 
 
 class TestExceptionalPatches:
