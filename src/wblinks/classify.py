@@ -29,7 +29,9 @@ packed-vs-scalar tests compare the two forms of the criterion.
 
 from __future__ import annotations
 
+import marshal
 import os
+import signal
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -49,14 +51,14 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
 # blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
 # Measured in process with Python 3.11, the scan's tables (``_tables``)
-# hold 34.4 MiB as Python objects in a dimension-3 scan at 170, and
-# 29.0 MiB in dimension 4 at 130; those scans peak at 52 MB and 47 MB.
+# hold 33.7 MiB as Python objects in a dimension-3 scan at 170, and
+# 28.0 MiB in dimension 4 at 130; those scans peak at 50.5 MB and 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
 @dataclass(frozen=True)
 class ClassificationRun:
-    """Accepted tuples of one scan, each with its link; jobs is the workers used."""
+    """Accepted tuples of one scan, each with its link; jobs counts its processes."""
 
     dim: int
     bound: int
@@ -103,19 +105,20 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
-# The scan's packed tables: ``tables[r]`` is ``_residue_table(r, dim + 1,
+# The scan's packed tables: ``tables[r]`` is ``_residue_table(r, dim,
 # bound)`` for every index r = 2, ..., dim * bound - 1 (0 and 1 are unused).
 # The largest blowup index is dim * bound - 1, where every weight is the
 # bound; every wall entry e > 1 is at most bound - 1, and the bound's rows
-# hold every residue mod e.  Neither test sums more than dim + 1 nonzero
-# terms.  A full scan meets every index in that range, so the list is built
-# once, up front, by each process that scans; ``_survivors`` drops it when
-# it returns.  It takes about 7 * B**3 bytes at bound B in dimension 3 and
-# 14 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.3 MiB at B = 78.
+# hold every residue mod e.  The blowup test sums dim terms and a flip has
+# at most dim + 1 nonzero ones, and a table for n terms is exact on n + 1
+# (see ``_residue_table``).  A full scan meets every index in that range,
+# so ``_survivors`` builds the list once, up front, and drops it when it
+# returns.  It takes about 7 * B**3 bytes at bound B in dimension 3 and
+# 13.5 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.1 MiB at B = 78.
 @lru_cache(maxsize=1)
 def _tables(dim: int, bound: int) -> list[tuple[list[int], int, int] | None]:
     return [None, None] + [
-        _residue_table(r, dim + 1, bound) for r in range(2, dim * bound)
+        _residue_table(r, dim, bound) for r in range(2, dim * bound)
     ]
 
 
@@ -175,26 +178,60 @@ def _scan_partition(args):
 
 
 def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
-    """Scan survivors in partition order, serially or on jobs workers.
+    """Scan survivors in partition order, from jobs processes that scan.
 
-    The process pool is imported here, not at module level: it pulls in
-    about 40 modules that every serial command would otherwise load at start.
+    The parent builds the tables, forks jobs - 1 children, which inherit
+    them, and scans a share itself, so a serial scan forks nothing.
+    Process i of 0, ..., jobs - 1 (0 is the parent) scans the interleaved
+    partitions ``tasks[i::jobs]``, which spreads the costly heads of large
+    weights evenly.  A child writes its survivors, one list per partition,
+    to its own pipe as ``marshal`` bytes and always leaves by ``os._exit``:
+    0 once they are written, 1 on any exception.  So it never flushes the
+    parent's buffers or runs its ``finally`` clauses or exit handlers.  The
+    parent reads each pipe to EOF before it reaps that child, and a child
+    that exits nonzero fails the scan.  However the scan ends, the
+    ``finally`` kills and reaps every child not yet reaped and drops the
+    tables.
     """
     tasks = [(dim, bound, head) for head in _partitions(dim, bound)]
-    out: list[tuple[int, ...]] = []
+    chunks: list[list[tuple[int, ...]]] = [[]] * len(tasks)
+    pending = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
-        if jobs <= 1:
-            chunks = map(_scan_partition, tasks)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(_scan_partition, tasks, chunksize=16))
-        for chunk in chunks:
-            out.extend(chunk)
+        _tables(dim, bound)
+        for i in range(1, jobs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pipe.write(marshal.dumps(
+                            [_scan_partition(t) for t in tasks[i::jobs]]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            pending[pid] = open(r, "rb")
+        chunks[::jobs] = map(_scan_partition, tasks[::jobs])
+        for i, (pid, pipe) in enumerate(list(pending.items()), 1):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pending[pid]
+            if status:
+                raise RuntimeError(
+                    f"scan process {pid} failed with exit code "
+                    f"{os.waitstatus_to_exitcode(status)}"
+                )
+            chunks[i::jobs] = marshal.loads(data)
     finally:
+        for pid, pipe in pending.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         _tables.cache_clear()
-    return out
+    return [ws for chunk in chunks for ws in chunk]
 
 
 def _check_scan(dim: int, bound: int) -> None:
@@ -211,15 +248,23 @@ def _check_scan(dim: int, bound: int) -> None:
 
 
 def worker_count(jobs: int, dim: int, bound: int) -> int:
-    """Processes a scan starts: jobs capped by the usable CPUs and partitions.
+    """Processes that scan: jobs capped by the usable CPUs and partitions.
 
-    The pool starts all its workers at once, so an uncapped count would
-    start that many processes.
+    The scan forks all but one of them at once, so an uncapped count would
+    start that many processes.  Usable CPUs are the affinity mask where
+    ``os.sched_getaffinity`` exists (Linux) and ``os.cpu_count()``
+    elsewhere; without ``os.fork`` the scan runs in one process.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     partitions = comb(bound + dim - 3, dim - 2)
-    return min(jobs, len(os.sched_getaffinity(0)), partitions)
+    return min(jobs, cpus, partitions)
 
 
 def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:

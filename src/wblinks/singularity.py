@@ -15,7 +15,7 @@ The public checks run the criterion as a scalar loop over k.  The
 classification scan instead decides every k at once with the packed tables
 of ``_residue_table``: one bit field per k, offset so that a field's top
 bit is set iff its residue sum exceeds r.  That offset is the same for every
-weight list, and a table's field width depends only on n, the number of
+weight list, and a table's field width depends only on the number of
 terms that can have a nonzero residue; so one table per index serves both
 the scan's blowup test and its wall test.
 
@@ -74,28 +74,30 @@ def _residue_sums_exceed(ws: tuple[int, ...], r: int) -> bool:
 
 
 def _residue_table(r: int, n: int, top: int) -> tuple[list[int], int, int]:
-    """Packed residues for the criterion at index r, n nonzero terms at a time.
+    """Packed residues for the criterion at index r, n + 1 nonzero terms at a time.
 
     Returns (P, K, high).  Field k - 1 of an integer, k = 1,...,r-1, is the
     F bits above bit F * (k - 1), with F = (n * r).bit_length() + 1.  P[x]
     holds (k * x) % r in field k - 1, for x = 0,...,min(r - 1, top).  Then
-    any integers ws (negative or zero too) with at most n terms nonzero
+    any integers ws (negative or zero too) with at most n + 1 terms nonzero
     mod r give a terminal 1/r(ws) iff
 
         (K + sum(P[w % r] for w in ws)) & high == high,
 
-    and this test is exact.  So n counts only the terms that can have a
-    nonzero residue; a term 0 mod r adds the row P[0] = 0.  Let
-    H = 2**(F - 1); high holds H in every field and K holds H - r - 1.  The
-    sum holds s(k) + H - r - 1 in field k - 1, where s(k) is the sum of the
-    residues at k, with no borrow or carry between fields:
-    0 <= s(k) <= n * (r - 1), and n * r < H, so each field stays in
-    [H - r - 1, 2 * H).  The field's top bit is set iff s(k) >= r + 1, so
-    all top bits are set iff s(k) > r for every k, which is the residue-sum
-    criterion (Reid-Tai; M. Reid, "Young person's guide to canonical
-    singularities", 1987).  The offset is the same for every list, so no
-    identity between the weights is needed: a blowup's sum(ws) = r + 1
-    makes s(k) = k mod r, but the test does not rely on it.
+    and this test is exact.  Only the terms that can have a nonzero residue
+    count; a term 0 mod r adds the row P[0] = 0.  Let H = 2**(F - 1); high
+    holds H in every field and K holds H - r - 1 (H > n * r >= r, so K is
+    nonnegative).  The sum holds s(k) + H - r - 1 in field k - 1, where
+    s(k) is the sum of the residues at k, with no borrow or carry between
+    fields: 0 <= s(k) <= (n + 1) * (r - 1) = n * r + r - n - 1, and
+    n * r < H, so each field stays in [H - r - 1, 2 * H): the offset's
+    r + 1 below H is the headroom for the (n + 1)-th term.  The field's
+    top bit is set iff s(k) >= r + 1, so all top bits are set iff
+    s(k) > r for every k, which is the residue-sum criterion (Reid-Tai;
+    M. Reid, "Young person's guide to canonical singularities", 1987).  The
+    offset is the same for every list, so no identity between the weights
+    is needed: a blowup's sum(ws) = r + 1 makes s(k) = k mod r, but the
+    test does not rely on it.
     Weights below r need no reduction, as in the scan's blowup test.
 
     No per-k loop: q holds k in field k - 1, and P[x] is P[x - 1] + q with
@@ -122,8 +124,35 @@ def _residue_table(r: int, n: int, top: int) -> tuple[list[int], int, int]:
 def is_terminal_blowup(weights) -> bool:
     """Return True iff the weighted blowup of a smooth point is terminal.
 
-    The blowup with positive weights (a_1,...,a_n) has terminal
-    singularities iff 1/V(a_1,...,a_n) is terminal, V = sum(a_i) - 1.
+    The blowup T with positive weights a = (a_1,...,a_n), n >= 2, is smooth
+    off its exceptional divisor, which the charts 1/a_j(-1, a_i : i != j)
+    cover (``exceptional_patch_types``); so T is terminal iff every chart
+    is.  Chart lemma: every chart is terminal iff 1/V(a) is, V = sum(a) - 1,
+    and this function tests 1/V(a).
+
+    Proof.  Write the criterion with ages: the age of 1/r(b) at k is
+    sum({k * b_i / r}), the residue sum over r, and terminal means every
+    age > 1.  In Z^n with unit vectors e_i, the lattice points of the cone
+    on a and e_i (i != j) with coordinates mu, lambda_i in [0, 1) are
+    mu = k / a_j, lambda_i = {-k * a_i / a_j}; k -> a_j - k turns their
+    coordinate sums into the ages of chart j.  So chart j is terminal iff
+    the simplex conv(0, a, e_i : i != j) holds no lattice point but its
+    vertices.  These n simplices make up {x >= 0 : phi(x) <= 1} with
+    phi(x) = sum(x) - V * min_j(x_j / a_j), which is 1 at a and each e_i,
+    linear on each cone and convex; so their union is the convex hull P of
+    0, a and the e_i.  The plane sum(x) = 1 cuts P into conv(0, e_i), whose
+    only lattice points are its vertices, and S = conv(a, e_i).  A point
+    x = mu * a + sum(lambda_i * e_i) of S has sum(x) = 1 + mu * V.
+    - If x is a lattice point of S other than a vertex, then k = mu * V is
+      in 1..V-1, and lambda_i >= 0 with sum(lambda) = 1 - mu < 1 gives
+      lambda_i = {-k * a_i / V}.  So 1/V(a) has age 1 - k / V <= 1 at V - k.
+    - If 1/V(a) has age <= 1 at V - k, set lambda_i = {-k * a_i / V}.  Then
+      x = (k / V) * a + lambda is integral, and sum(x) = k + k / V +
+      sum(lambda) is an integer in (k, k + 2), so sum(lambda) = 1 - k / V
+      and x is a lattice point of S with 0 < mu < 1, not a vertex.
+    Both directions use only the residue sums, so the lemma holds for any
+    positive weights; ``test_singularity`` checks it exhaustively on small
+    tuples.
     """
     ws = _validate_weights(weights)
     if len(ws) < 2:

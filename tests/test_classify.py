@@ -1,8 +1,10 @@
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
+from dataclasses import replace
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -272,6 +274,23 @@ def test_worker_count_is_capped(monkeypatch):
     assert worker_count(10_000, 4, 2) == 3  # heads (1,1), (1,2) and (2,2)
 
 
+def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity")
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert worker_count(10_000, 4, 40) == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(10_000, 4, 40) == 1
+    assert classify(3, 8, jobs=4).jobs == 1
+
+
+def test_worker_count_without_fork_is_one(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.delattr("os.fork")
+    assert worker_count(10_000, 4, 40) == 1
+    run = classify(3, 8, jobs=4)
+    assert run.jobs == 1 and run.accepted == P3_ANSWER
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
@@ -348,7 +367,7 @@ def test_scan_builds_each_table_once(monkeypatch, dim, bound):
 
     monkeypatch.setattr(SCAN, "_residue_table", record)
     _survivors(dim, bound, 1)
-    assert built == [(r, dim + 1, bound) for r in range(2, dim * bound)]
+    assert built == [(r, dim, bound) for r in range(2, dim * bound)]
 
 
 def test_blowup_tables_live_only_during_a_scan(monkeypatch):
@@ -376,28 +395,94 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
     assert SCAN._tables.cache_info().currsize == 0
 
 
-SPAWNED_POOL = """
-import json, multiprocessing, os
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that jobs=2 forks one child, and a 60 s deadline.
+
+    The deadline turns a hung scan into a failure; a forked child does not
+    inherit the alarm.
+    """
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+
+    def expire(signum, frame):
+        raise TimeoutError("the scan did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_process_left():
+    """The scan reaped every child it forked and dropped its tables."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert SCAN._tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 16)])
+def test_two_processes_match_the_serial_scan(two_cpus, dim, bound):
+    assert _survivors(dim, bound, 2) == _survivors(dim, bound, 1)
+    assert_no_process_left()
+    run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
+    assert run.jobs == 2 and serial.jobs == 1
+    assert run == replace(serial, jobs=2)
+    assert_no_process_left()
+
+
+def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
+    parent, real = os.getpid(), SCAN._scan_partition
+
+    def fail_in_child(task):
+        if os.getpid() != parent:
+            raise ValueError("child scan failed")
+        return real(task)
+
+    monkeypatch.setattr(SCAN, "_scan_partition", fail_in_child)
+    with pytest.raises(RuntimeError, match="failed with exit code 1"):
+        classify(4, 16, jobs=2)
+    assert_no_process_left()
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
+    parent, real = os.getpid(), SCAN._scan_partition
+
+    def interrupt_parent(task):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(SCAN, "_scan_partition", interrupt_parent)
+    with pytest.raises(KeyboardInterrupt):
+        classify(4, 16, jobs=2)
+    assert_no_process_left()
+
+
+# Output buffered before the fork and an exit handler must each show once:
+# a child that ran the interpreter's exit would flush and run them again.
+FORKED_SCAN = """
+import atexit, json, os
 from wblinks import classify
 
-if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
-    os.sched_getaffinity = lambda pid: {0, 1}
-    run = classify(4, 12, jobs=2)
-    print(json.dumps({"jobs": run.jobs, "accepted": run.accepted}))
+os.sched_getaffinity = lambda pid: {0, 1}
+atexit.register(print, "exit handler")
+print("before the scan")
+run = classify(4, 12, jobs=2)
+print(json.dumps({"jobs": run.jobs, "accepted": run.accepted}))
 """
 
 
-def test_pool_workers_build_their_own_tables_under_spawn(tmp_path):
-    """Spawned workers inherit no tables, yet match the serial scan."""
-    script = tmp_path / "spawned_pool.py"
-    script.write_text(SPAWNED_POOL)
+def test_forked_children_leave_the_parent_process_alone():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, str(script)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-W", "error", "-c", FORKED_SCAN],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    doc = json.loads(proc.stdout)
+    first, doc, last = proc.stdout.splitlines()
+    assert (first, last) == ("before the scan", "exit handler")
+    doc = json.loads(doc)
     assert doc["jobs"] == 2
     assert tuple(map(tuple, doc["accepted"])) == classify(4, 12).accepted
+    assert proc.stderr == ""

@@ -463,14 +463,17 @@ def test_unknown_flag_exits_2():
 
 
 # Runs in a fresh interpreter; prints the modules of LAZY loaded so far,
-# once after the import and once after each serial command.
+# once after the import and once after each command.  The parallel scan
+# forks its own processes, so it loads no pool either.
 COLD_START = """
-import io, json, sys
+import io, json, os, sys
 from wblinks.cli import main
 
-LAZY = ("concurrent.futures", "fractions")
+os.sched_getaffinity = lambda pid: {0, 1}
+LAZY = ("concurrent.futures", "multiprocessing", "fractions")
 loaded = [[m for m in LAZY if m in sys.modules]]
 for argv in (["classify", "--dim", "3", "--bound", "8"],
+             ["classify", "--dim", "3", "--bound", "8", "--jobs", "2"],
              ["link", "--dim", "4", "-w", "1,2,3,5"]):
     assert main(argv, out=io.StringIO()) == 0
     loaded.append([m for m in LAZY if m in sys.modules])
@@ -485,4 +488,4 @@ def test_serial_commands_do_not_load_the_pool_or_fractions():
         [sys.executable, "-c", COLD_START],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(proc.stdout) == [[], [], []]
+    assert json.loads(proc.stdout) == [[], [], [], []]

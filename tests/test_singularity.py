@@ -42,6 +42,13 @@ class TestTerminalBlowup:
     def test_ordinary_surface_blowup(self):
         assert is_terminal_blowup([1, 1]) is True
 
+    @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 22), (5, 12)])
+    def test_chart_lemma(self, dim, bound):
+        """1/V(a) is terminal iff every chart 1/a_j(-1, a_i : i != j) is."""
+        for ws in combinations_with_replacement(range(1, bound + 1), dim):
+            charts = all(p.is_terminal for p in exceptional_patch_types(ws))
+            assert is_terminal_blowup(ws) == charts, ws
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             is_terminal_blowup([0, 2, 3])
@@ -95,11 +102,15 @@ def packed_terminal(ws, r):
 class TestPackedResidueTable:
     """The packed criterion on arbitrary integer lists against the scalar loop."""
 
+    # A table for n terms is exact on n + 1: lists of n + 1 residues, zeros
+    # included, cover every list of at most n + 1 nonzero terms.
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_scalar_loop_on_every_residue_list(self, n):
         for r in range(2, 14):
-            for ws in combinations_with_replacement(range(r), n):
-                assert packed_terminal(ws, r) == _residue_sums_exceed(ws, r), (ws, r)
+            P, K, high = _residue_table(r, n, r - 1)
+            for ws in combinations_with_replacement(range(r), n + 1):
+                packed = (K + sum(P[w] for w in ws)) & high == high
+                assert packed == _residue_sums_exceed(ws, r), (ws, r)
 
     # Fields are F = (n * r).bit_length() + 1 bits wide, with the top bit
     # H = 2**(F - 1) > n * r.  The examples sit at the field-width edges:
