@@ -107,14 +107,16 @@ def _partitions(dim: int, bound: int):
 
 # The scan's packed tables: ``tables[r]`` is ``_residue_table(r, dim,
 # bound)`` for every index r = 2, ..., dim * bound - 1 (0 and 1 are unused).
-# The largest blowup index is dim * bound - 1, where every weight is the
-# bound; every wall entry e > 1 is at most bound - 1, and the bound's rows
-# hold every residue mod e.  The blowup test sums dim terms and a flip has
-# at most dim + 1 nonzero ones, and a table for n terms is exact on n + 1
-# (see ``_residue_table``).  A full scan meets every index in that range,
-# so ``_survivors`` builds the list once, up front, and drops it when it
-# returns.  It takes about 7 * B**3 bytes at bound B in dimension 3 and
-# 13.5 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.1 MiB at B = 78.
+# The blowup test reads ``tables[sum(head) + S - 1]`` once per head and
+# S = c + d, which runs up to dim * bound - 1, where every weight is the
+# bound; the wall test reads ``tables[e]`` at each flip entry e > 1, at most
+# bound - 1, and the bound's rows hold every residue mod e.  The blowup test
+# sums dim terms and a flip has at most dim + 1 nonzero ones, and a table
+# for n terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
+# every index in that range, so ``_survivors`` builds the list once, up
+# front, and drops it when it returns.  It takes about 7 * B**3 bytes at
+# bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at B = 40
+# and 6.1 MiB at B = 78.
 @lru_cache(maxsize=1)
 def _tables(dim: int, bound: int) -> list[tuple[list[int], int, int] | None]:
     return [None, None] + [
@@ -125,55 +127,67 @@ def _tables(dim: int, bound: int) -> list[tuple[list[int], int, int] | None]:
 def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
-    This is ``is_terminal_wps``'s rule, packed, on each flip
-    (-1, -v, *(w - v for w in ws if w != v)): ``link.wall_flip_weights``
-    without its zeros, which add nothing to a residue sum and are no entry
-    > 1.  That leaves at most dim + 1 terms, summed at each entry e > 1 on
-    the rows of ``tables[e]``.
+    This is ``is_terminal_wps``'s rule, packed, on each flip: for each
+    distinct v < ws[-2], in ascending order, the terms are w - v for every
+    w in ws, then -1 and -v.  That is ``link.wall_flip_weights`` with its
+    zeros, plus one more zero from w = v; a zero adds the row P[0] = 0 and
+    is no entry > 1.  That leaves at most dim + 1 nonzero terms, summed at
+    each entry e > 1 on the rows of ``tables[e]``.
     """
-    for v in set(ws[:-2]):
-        if v >= ws[-2]:
+    top = ws[-2]
+    last = 0
+    for v in ws[:-2]:
+        if v >= top:
+            break
+        if v == last:
             continue
-        terms = (-1, -v, *[w - v for w in ws if w != v])
+        last = v
+        terms = [w - v for w in ws] + [-1, -v]
         for e in terms:
-            if e < 2:
-                continue
-            P, K, high = tables[e]
-            x = K
-            for t in terms:
-                x += P[t % e]
-            if x & high != high:
-                return False
+            if e > 1:
+                P, K, high = tables[e]
+                x = K
+                for t in terms:
+                    x += P[t % e]
+                if x & high != high:
+                    return False
     return True
 
 
 def _scan_partition(args):
     """Ascending candidates (*head, c, d), d <= bound, that survive the scan.
 
-    The interior-movable inequality (dim + 1) * c > sum(weights) - 1 caps
-    the top weight at d <= dim * c - sum(head).  Blowup terminality is the
-    residue-sum criterion at index V = sum(weights) - 1, decided for every k
-    at once by summing the rows of the weights in ``tables[V]``; every
-    weight is below V, so no row index needs reducing.  The wall test
-    ``_walls_terminal``, on the same tables, runs last on the blowup
-    survivors: about one candidate in ten at bound 40 in dimension 4.
+    Index-major: the blowup index V = sum(head) + S - 1 depends only on the
+    head and on S = c + d, so the outer loop runs over S = 2 * head[-1],
+    ..., 2 * bound.  For each S it fetches ``tables[V]`` once and sums the
+    head's rows into ``base`` once; a candidate then adds the rows of c and
+    d = S - c.  Blowup terminality is the residue-sum criterion at index V,
+    decided for every k at once by that sum; every weight is below V, so no
+    row index needs reducing.  The interior-movable inequality (dim + 1) * c
+    > sum(weights) - 1, with d <= bound and c <= d, leaves exactly the c in
+    max(head[-1], S - bound, ceil((S + sum(head)) / (dim + 1))), ..., S // 2.
+    The wall test ``_walls_terminal``, on the same tables, runs last on the
+    blowup survivors: about one candidate in ten at bound 40 in dimension 4.
     ``build_link`` re-checks each survivor with the scalar loop, which
-    shares no code with the packed tests.
+    shares no code with the packed tests.  The survivors are returned
+    sorted, so each partition's list is in lexicographic order.
     """
     dim, bound, head = args
     h = sum(head)
     tables = _tables(dim, bound)
     out = []
-    for c in range(head[-1], bound + 1):
-        for d in range(c, min(bound, dim * c - h) + 1):
-            P, K, high = tables[h + c + d - 1]
-            x = K + P[c] + P[d]
-            for a in head:
-                x += P[a]
-            if x & high == high:
-                ws = head + (c, d)
+    for S in range(2 * head[-1], 2 * bound + 1):
+        P, K, high = tables[h + S - 1]
+        base = K
+        for a in head:
+            base += P[a]
+        low = max(head[-1], S - bound, -(-(S + h) // (dim + 1)))
+        for c in range(low, S // 2 + 1):
+            if base + P[c] + P[S - c] & high == high:
+                ws = head + (c, S - c)
                 if _walls_terminal(ws, tables):
                     out.append(ws)
+    out.sort()
     return out
 
 
@@ -186,12 +200,13 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
     partitions ``tasks[i::jobs]``, which spreads the costly heads of large
     weights evenly.  A child writes its survivors, one list per partition,
     to its own pipe as ``marshal`` bytes and always leaves by ``os._exit``:
-    0 once they are written, 1 on any exception.  So it never flushes the
-    parent's buffers or runs its ``finally`` clauses or exit handlers.  The
-    parent reads each pipe to EOF before it reaps that child, and a child
-    that exits nonzero fails the scan.  However the scan ends, the
-    ``finally`` kills and reaps every child not yet reaped and drops the
-    tables.
+    0 once they are written, 1 on any exception, whose ``repr`` it writes
+    to the pipe instead.  So it never flushes the parent's buffers or runs
+    its ``finally`` clauses or exit handlers.  The parent reads each pipe
+    to EOF before it reaps that child, and a child that exits nonzero fails
+    the scan with a ``RuntimeError`` that quotes what the child wrote.
+    However the scan ends, the ``finally`` kills and reaps every child not
+    yet reaped and drops the tables.
     """
     tasks = [(dim, bound, head) for head in _partitions(dim, bound)]
     chunks: list[list[tuple[int, ...]]] = [[]] * len(tasks)
@@ -206,8 +221,13 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
                 try:
                     os.close(r)
                     with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps(
-                            [_scan_partition(t) for t in tasks[i::jobs]]))
+                        try:
+                            data = marshal.dumps(
+                                [_scan_partition(t) for t in tasks[i::jobs]])
+                        except BaseException as exc:
+                            pipe.write(repr(exc).encode())
+                            raise
+                        pipe.write(data)
                     status = 0
                 finally:
                     os._exit(status)
@@ -222,7 +242,8 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
             if status:
                 raise RuntimeError(
                     f"scan process {pid} failed with exit code "
-                    f"{os.waitstatus_to_exitcode(status)}"
+                    f"{os.waitstatus_to_exitcode(status)}: "
+                    f"{data.decode(errors='replace') or 'no exception reported'}"
                 )
             chunks[i::jobs] = marshal.loads(data)
     finally:

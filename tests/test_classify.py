@@ -108,14 +108,18 @@ def test_scan_matches_literal_criterion(dim, bound):
     assert tuple(sorted(_survivors(dim, bound, 1))) == literal_survivors(dim, bound)
 
 
-@pytest.mark.parametrize("dim,bound,tested", [(3, 40, 326), (4, 40, 11529)])
+@pytest.mark.parametrize(
+    "dim,bound,tested", [(3, 40, 326), (4, 40, 11529), (5, 12, 2289)]
+)
 def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     monkeypatch, dim, bound, tested
 ):
     """The scan's packed wall test against ``is_terminal_wps`` on each flip.
 
-    The scan hands the wall test exactly its blowup survivors; recording them
-    during the scan also lets ``_survivors`` clear the tables afterwards.
+    The scan hands the wall test exactly its blowup survivors, each once:
+    the literal ones, so a wrong range of c or d fails here even where the
+    walls would hide it.  Recording them during the scan also lets
+    ``_survivors`` clear the tables afterwards.
     """
     real = SCAN._walls_terminal
     seen = []
@@ -127,6 +131,7 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     _survivors(dim, bound, 1)
     assert len(seen) == tested
+    assert tuple(sorted(ws for ws, _ in seen)) == literal_blowup_survivors(dim, bound)
     for ws, packed in seen:
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
@@ -440,7 +445,8 @@ def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
         return real(task)
 
     monkeypatch.setattr(SCAN, "_scan_partition", fail_in_child)
-    with pytest.raises(RuntimeError, match="failed with exit code 1"):
+    message = r"failed with exit code 1: ValueError\('child scan failed'\)"
+    with pytest.raises(RuntimeError, match=message):
         classify(4, 16, jobs=2)
     assert_no_process_left()
 

@@ -226,7 +226,8 @@ class TestClassify:
              "--out", str(target)]
         )
         assert code == 0
-        rows = list(csv.reader(target.open()))
+        with target.open() as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["weights", "end_kind", "target"]
         assert doc["result"]["total"] == 4
 
