@@ -34,7 +34,6 @@ import os
 import signal
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -113,11 +112,10 @@ def _partitions(dim: int, bound: int):
 # bound - 1, and the bound's rows hold every residue mod e.  The blowup test
 # sums dim terms and a flip has at most dim + 1 nonzero ones, and a table
 # for n terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
-# every index in that range, so ``_survivors`` builds the list once, up
-# front, and drops it when it returns.  It takes about 7 * B**3 bytes at
-# bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at B = 40
-# and 6.1 MiB at B = 78.
-@lru_cache(maxsize=1)
+# every index in that range, so ``_survivors`` builds the list once, before
+# it forks, and holds it only while it scans.  It takes about 7 * B**3 bytes
+# at bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
+# B = 40 and 6.1 MiB at B = 78.
 def _tables(dim: int, bound: int) -> list[tuple[list[int], int, int] | None]:
     return [None, None] + [
         _residue_table(r, dim, bound) for r in range(2, dim * bound)
@@ -154,68 +152,73 @@ def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
     return True
 
 
-def _scan_partition(args):
-    """Ascending candidates (*head, c, d), d <= bound, that survive the scan.
+def _scan_partition(dim: int, bound: int, heads, tables) -> list[tuple[int, ...]]:
+    """Candidates (*head, c, d), head in heads, c <= d <= bound, that survive.
 
     Index-major: the blowup index V = sum(head) + S - 1 depends only on the
-    head and on S = c + d, so the outer loop runs over S = 2 * head[-1],
-    ..., 2 * bound.  For each S it fetches ``tables[V]`` once and sums the
-    head's rows into ``base`` once; a candidate then adds the rows of c and
-    d = S - c.  Blowup terminality is the residue-sum criterion at index V,
-    decided for every k at once by that sum; every weight is below V, so no
-    row index needs reducing.  The interior-movable inequality (dim + 1) * c
-    > sum(weights) - 1, with d <= bound and c <= d, leaves exactly the c in
-    max(head[-1], S - bound, ceil((S + sum(head)) / (dim + 1))), ..., S // 2.
-    The wall test ``_walls_terminal``, on the same tables, runs last on the
-    blowup survivors: about one candidate in ten at bound 40 in dimension 4.
+    head and on S = c + d, so for each head the loop runs over S =
+    2 * head[-1], ..., 2 * bound.  For each S it fetches ``tables[V]`` once
+    and sums the head's rows into ``base`` once; a candidate then adds the
+    rows of c and d = S - c.  Blowup terminality is the residue-sum
+    criterion at index V, decided for every k at once by that sum; every
+    weight is below V, so no row index needs reducing.  The
+    interior-movable inequality (dim + 1) * c > sum(weights) - 1, with
+    d <= bound and c <= d, leaves exactly the c in max(head[-1], S - bound,
+    ceil((S + sum(head)) / (dim + 1))), ..., S // 2.  The wall test
+    ``_walls_terminal``, on the same tables, runs last on the blowup
+    survivors: about one candidate in ten at bound 40 in dimension 4.
     ``build_link`` re-checks each survivor with the scalar loop, which
-    shares no code with the packed tests.  The survivors are returned
-    sorted, so each partition's list is in lexicographic order.
+    shares no code with the packed tests.  The list is in scan order;
+    ``_survivors`` sorts.
     """
-    dim, bound, head = args
-    h = sum(head)
-    tables = _tables(dim, bound)
     out = []
-    for S in range(2 * head[-1], 2 * bound + 1):
-        P, K, high = tables[h + S - 1]
-        base = K
-        for a in head:
-            base += P[a]
-        low = max(head[-1], S - bound, -(-(S + h) // (dim + 1)))
-        for c in range(low, S // 2 + 1):
-            if base + P[c] + P[S - c] & high == high:
-                ws = head + (c, S - c)
-                if _walls_terminal(ws, tables):
-                    out.append(ws)
-    out.sort()
+    for head in heads:
+        h = sum(head)
+        for S in range(2 * head[-1], 2 * bound + 1):
+            P, K, high = tables[h + S - 1]
+            base = K
+            for a in head:
+                base += P[a]
+            low = max(head[-1], S - bound, -(-(S + h) // (dim + 1)))
+            for c in range(low, S // 2 + 1):
+                if base + P[c] + P[S - c] & high == high:
+                    ws = head + (c, S - c)
+                    if _walls_terminal(ws, tables):
+                        out.append(ws)
     return out
 
 
 def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
-    """Scan survivors in partition order, from jobs processes that scan.
+    """The scan's survivors, sorted, from jobs processes that scan.
 
-    The parent builds the tables, forks jobs - 1 children, which inherit
-    them, and scans a share itself, so a serial scan forks nothing.
-    Process i of 0, ..., jobs - 1 (0 is the parent) scans the interleaved
-    partitions ``tasks[i::jobs]``, which spreads the costly heads of large
-    weights evenly.  A child writes its survivors, one list per partition,
-    to its own pipe as ``marshal`` bytes and always leaves by ``os._exit``:
-    0 once they are written, 1 on any exception, whose ``repr`` it writes
-    to the pipe instead.  So it never flushes the parent's buffers or runs
-    its ``finally`` clauses or exit handlers.  The parent reads each pipe
-    to EOF before it reaps that child, and a child that exits nonzero fails
-    the scan with a ``RuntimeError`` that quotes what the child wrote.
+    This function owns the scan's state: it builds the heads and the tables,
+    forks jobs - 1 children, which inherit both, and scans a share itself,
+    so a serial scan forks nothing.  Process i of 0, ..., jobs - 1 (0 is the
+    parent) makes one ``_scan_partition`` call on the interleaved heads
+    ``heads[i::jobs]``, which spreads the costly heads of large weights
+    evenly.  A child writes its list to its own pipe as ``marshal`` bytes
+    and always leaves by ``os._exit``: 0 once it is written, 1 on any
+    exception, whose ``repr`` it writes to the pipe instead.  So it never
+    flushes the parent's buffers or runs its ``finally`` clauses or exit
+    handlers.  The parent reads each pipe to EOF before it reaps that child,
+    and a child that exits nonzero fails the scan with a ``RuntimeError``
+    that quotes what the child wrote.  A fork that fails closes its pipe.
     However the scan ends, the ``finally`` kills and reaps every child not
-    yet reaped and drops the tables.
+    yet reaped.  The parent merges the lists and sorts them once, so the
+    order does not depend on the split; the tables go when it returns.
     """
-    tasks = [(dim, bound, head) for head in _partitions(dim, bound)]
-    chunks: list[list[tuple[int, ...]]] = [[]] * len(tasks)
+    heads = _partitions(dim, bound)
+    tables = _tables(dim, bound)
     pending = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
-        _tables(dim, bound)
         for i in range(1, jobs):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -223,7 +226,7 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
                     with open(w, "wb") as pipe:
                         try:
                             data = marshal.dumps(
-                                [_scan_partition(t) for t in tasks[i::jobs]])
+                                _scan_partition(dim, bound, heads[i::jobs], tables))
                         except BaseException as exc:
                             pipe.write(repr(exc).encode())
                             raise
@@ -233,8 +236,8 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
                     os._exit(status)
             os.close(w)
             pending[pid] = open(r, "rb")
-        chunks[::jobs] = map(_scan_partition, tasks[::jobs])
-        for i, (pid, pipe) in enumerate(list(pending.items()), 1):
+        out = _scan_partition(dim, bound, heads[::jobs], tables)
+        for pid, pipe in list(pending.items()):
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -245,14 +248,13 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
                     f"{os.waitstatus_to_exitcode(status)}: "
                     f"{data.decode(errors='replace') or 'no exception reported'}"
                 )
-            chunks[i::jobs] = marshal.loads(data)
+            out += marshal.loads(data)
     finally:
         for pid, pipe in pending.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        _tables.cache_clear()
-    return [ws for chunk in chunks for ws in chunk]
+    return sorted(out)
 
 
 def _check_scan(dim: int, bound: int) -> None:
@@ -314,13 +316,13 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     """
     _check_scan(dim, bound)
     jobs = worker_count(jobs, dim, bound)
-    links = {ws: build_link(ws, dim) for ws in sorted(_survivors(dim, bound, jobs))}
-    accepted = tuple(ws for ws, link in links.items() if isinstance(link, Link))
+    kept = [(ws, link) for ws in _survivors(dim, bound, jobs)
+            if isinstance(link := build_link(ws, dim), Link)]
     return ClassificationRun(
         dim=dim,
         bound=bound,
-        accepted=accepted,
-        links=tuple(links[ws] for ws in accepted),
+        accepted=tuple(ws for ws, _ in kept),
+        links=tuple(link for _, link in kept),
         jobs=jobs,
     )
 

@@ -1,9 +1,11 @@
+import errno
 import importlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
@@ -105,7 +107,7 @@ def literal_survivors(dim, bound):
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
 def test_scan_matches_literal_criterion(dim, bound):
-    assert tuple(sorted(_survivors(dim, bound, 1))) == literal_survivors(dim, bound)
+    assert tuple(_survivors(dim, bound, 1)) == literal_survivors(dim, bound)
 
 
 @pytest.mark.parametrize(
@@ -118,8 +120,8 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
 
     The scan hands the wall test exactly its blowup survivors, each once:
     the literal ones, so a wrong range of c or d fails here even where the
-    walls would hide it.  Recording them during the scan also lets
-    ``_survivors`` clear the tables afterwards.
+    walls would hide it.  Each packed answer is recorded during the scan
+    and compared with the scalar one after it.
     """
     real = SCAN._walls_terminal
     seen = []
@@ -376,28 +378,37 @@ def test_scan_builds_each_table_once(monkeypatch, dim, bound):
 
 
 def test_blowup_tables_live_only_during_a_scan(monkeypatch):
-    sizes = []
-    real = SCAN._walls_terminal
+    """A scan's memory is freed when it returns, and when it fails.
 
-    def record(ws, tables):
-        sizes.append(SCAN._tables.cache_info().currsize)
-        return real(ws, tables)
+    Traced memory must come back to within a quarter of the scan's peak
+    above the start: at (4, 40) the peak is about 1.0 MB above the start,
+    nearly all of it the tables, which would leave about 0.9 MB if held.
+    A failed scan's frames live in its traceback, so that case is measured
+    once the exception is dropped.
+    """
 
-    monkeypatch.setattr(SCAN, "_walls_terminal", record)
-    assert len(classify(4, 16).accepted) == 228
-    assert SCAN._tables.cache_info().currsize == 0
-    assert set(sizes) == {1}
+    def held_after(scan):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scan()
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start > 2**19
+        return (now - start) / (peak - start)
 
+    assert held_after(lambda: _survivors(4, 40, 1)) < 0.25
 
-def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
     def fail(ws, tables):
-        assert SCAN._tables.cache_info().currsize == 1
         raise RuntimeError("wall test failed")
 
+    def failing_scan():
+        with pytest.raises(RuntimeError, match="wall test failed"):
+            _survivors(4, 40, 1)
+
     monkeypatch.setattr(SCAN, "_walls_terminal", fail)
-    with pytest.raises(RuntimeError, match="wall test failed"):
-        classify(4, 16)
-    assert SCAN._tables.cache_info().currsize == 0
+    assert held_after(failing_scan) < 0.25
 
 
 @pytest.fixture
@@ -420,15 +431,18 @@ def two_cpus(monkeypatch):
 
 
 def assert_no_process_left():
-    """The scan reaped every child it forked and dropped its tables."""
+    """The scan reaped every child it forked."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert SCAN._tables.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 16)])
-def test_two_processes_match_the_serial_scan(two_cpus, dim, bound):
-    assert _survivors(dim, bound, 2) == _survivors(dim, bound, 1)
+def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
+    """jobs - 1 children and the parent give the serial scan, sorted."""
+    scan = _survivors(dim, bound, 1)
+    assert scan == sorted(scan)
+    assert _survivors(dim, bound, jobs) == scan
     assert_no_process_left()
     run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
     assert run.jobs == 2 and serial.jobs == 1
@@ -439,10 +453,10 @@ def test_two_processes_match_the_serial_scan(two_cpus, dim, bound):
 def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
     parent, real = os.getpid(), SCAN._scan_partition
 
-    def fail_in_child(task):
+    def fail_in_child(dim, bound, heads, tables):
         if os.getpid() != parent:
             raise ValueError("child scan failed")
-        return real(task)
+        return real(dim, bound, heads, tables)
 
     monkeypatch.setattr(SCAN, "_scan_partition", fail_in_child)
     message = r"failed with exit code 1: ValueError\('child scan failed'\)"
@@ -454,14 +468,35 @@ def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
 def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
     parent, real = os.getpid(), SCAN._scan_partition
 
-    def interrupt_parent(task):
+    def interrupt_parent(dim, bound, heads, tables):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real(task)
+        return real(dim, bound, heads, tables)
 
     monkeypatch.setattr(SCAN, "_scan_partition", interrupt_parent)
     with pytest.raises(KeyboardInterrupt):
         classify(4, 16, jobs=2)
+    assert_no_process_left()
+
+
+def test_a_failed_fork_closes_its_pipe(two_cpus, monkeypatch):
+    """The second of two forks fails: the first child is reaped, no fd leaks."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to count open file descriptors")
+    real, forks = os.fork, []
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused") as exc:
+        _survivors(4, 12, 3)
+    assert exc.value.errno == errno.EAGAIN
+    assert len(os.listdir("/proc/self/fd")) == before
     assert_no_process_left()
 
 

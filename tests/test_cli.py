@@ -19,7 +19,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Record each scan as (dim, bound, jobs) and run it serially, no pool."""
+    """Record each scan as (dim, bound, jobs) and run it serially."""
     # the package's `classify` attribute is the function, so look the module up
     module = importlib.import_module("wblinks.classify")
     real = module._survivors
