@@ -377,28 +377,34 @@ def test_scan_builds_each_table_once(monkeypatch, dim, bound):
     assert built == [(r, dim, bound) for r in range(2, dim * bound)]
 
 
-def test_blowup_tables_live_only_during_a_scan(monkeypatch):
-    """A scan's memory is freed when it returns, and when it fails.
+def held_after_scan(scan):
+    """The share of a scan's peak traced memory still held when it returns.
 
-    Traced memory must come back to within a quarter of the scan's peak
-    above the start: at (4, 40) the peak is about 1.0 MB above the start,
-    nearly all of it the tables, which would leave about 0.9 MB if held.
-    A failed scan's frames live in its traceback, so that case is measured
-    once the exception is dropped.
+    At (4, 40) the peak is about 1.0 MB above the start, nearly all of it
+    the tables, which would leave about 0.9 MB if held.
     """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scan()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start > 2**19
+    return (now - start) / (peak - start)
 
-    def held_after(scan):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            scan()
-            now, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start > 2**19
-        return (now - start) / (peak - start)
 
-    assert held_after(lambda: _survivors(4, 40, 1)) < 0.25
+def test_blowup_tables_live_only_during_a_scan():
+    """A scan's memory is back to within a quarter of its peak on return."""
+    assert held_after_scan(lambda: _survivors(4, 40, 1)) < 0.25
+
+
+def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
+    """A failed scan's memory is freed too.
+
+    Its frames live in the traceback, so it is measured once the exception
+    is dropped.
+    """
 
     def fail(ws, tables):
         raise RuntimeError("wall test failed")
@@ -408,7 +414,7 @@ def test_blowup_tables_live_only_during_a_scan(monkeypatch):
             _survivors(4, 40, 1)
 
     monkeypatch.setattr(SCAN, "_walls_terminal", fail)
-    assert held_after(failing_scan) < 0.25
+    assert held_after_scan(failing_scan) < 0.25
 
 
 @pytest.fixture
