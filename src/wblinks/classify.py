@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import comb
 
-from .link import DivContraction, Fibration, Link, build_link
+from .link import Link, build_link
 from .singularity import _residue_table
 
 # The CLI's bound when none is given: dimension 3 is complete at any bound
@@ -310,8 +310,24 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     - -K is interior iff c < 3b.  That leaves (1, 1, 1) and (1, 1, 2) for
       b = 1, and (1, 2, 3) and (1, 2, 5) for 1 < b < c.
 
-    In dimension 4 the answer, 421 quadruples with top weight <= 39, is
-    computed, not proved.  CI checks that it is complete to top weight 130:
+    In dimension 4 the wall at 1 settles the family (1, 1, c, d),
+    1 <= c <= d, in the same way: it is (1, 1, 1, 1), (1, 1, 1, 2),
+    (1, 1, 2, 2) and (1, 1, 2, d) for 3 <= d <= 6, at every bound >= 6.
+    -K is interior iff 5c > c + d + 1, that is d <= 4c - 2.
+
+    - c = 1 leaves d <= 2: (1, 1, 1, 1) and (1, 1, 1, 2), which have no
+      wall.
+    - For c >= 2 the only wall is at 1, with flip (-1, -1, 0, c-1, d-1).
+      If d >= 3, test its entry d - 1 at k = d - 2: the residues are 1,
+      1, 0, (1 - c) mod (d - 1) and 0.  For c < d they sum to d - c + 2,
+      which exceeds d - 1 only if c = 2; the interior inequality then
+      gives d <= 6.  For c = d they sum to 2 <= d - 1.
+    - So c = d leaves only (1, 1, 2, 2).
+
+    ``build_link`` accepts all seven.  The rest of the dimension-4 answer,
+    421 quadruples with top weight <= 39 in all, is computed, not proved:
+    the other repeated-weight shapes (15 quadruples) and the 399 strictly
+    increasing ones.  CI checks that it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """
     _check_scan(dim, bound)
@@ -344,10 +360,3 @@ def classify_stable(
 def stabilization_check(dim: int, bound: int, jobs: int = 1) -> bool:
     """True iff the accepted set is unchanged when the bound doubles."""
     return classify_stable(dim, bound, jobs)[1]
-
-
-def end_summary(end: Fibration | DivContraction) -> tuple[str, tuple[int, ...]]:
-    """(end kind, end-model weight multiset) of a built link's end."""
-    if isinstance(end, DivContraction):
-        return "divisorial_contraction", end.target_weights
-    return "fibration", end.fiber_weights

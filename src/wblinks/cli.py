@@ -3,7 +3,9 @@
 Every command emits a JSON document with a stable schema (version "1") and
 deterministic key order; `classify` can also emit CSV or a plain table.
 Exit codes: 0 success (a rejected link is a valid answer), 2 input error,
-3 when --expect is given and the classification count differs.
+3 when --expect is given and the classification count differs.  An input
+error is any ValueError: the CLI raises one for its own limits
+(``MAX_WEIGHTS``, ``MAX_INDEX``, ``--out``) and passes on the library's.
 """
 
 from __future__ import annotations
@@ -17,14 +19,8 @@ import sys
 import time
 from dataclasses import asdict
 
-from .classify import (
-    DEFAULT_BOUNDS,
-    MAX_BOUNDS,
-    classify,
-    classify_stable,
-    end_summary,
-)
-from .link import Link, build_link, display_orientation
+from .classify import DEFAULT_BOUNDS, MAX_BOUNDS, classify, classify_stable
+from .link import DivContraction, Fibration, Link, build_link, display_orientation
 from .singularity import (
     is_terminal_blowup,
     is_terminal_cqs,
@@ -56,27 +52,21 @@ MAX_INDEX = 10**7
 MAX_WEIGHTS = 20
 
 
-class InputError(Exception):
-    pass
-
-
 def _check_index(index: int, what: str) -> None:
     if index > MAX_INDEX:
-        raise InputError(f"{what} must be at most {MAX_INDEX}, got {index}")
+        raise ValueError(f"{what} must be at most {MAX_INDEX}, got {index}")
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) > MAX_WEIGHTS:
-        raise InputError(f"at most {MAX_WEIGHTS} weights, got {len(parts)}")
+        raise ValueError(f"at most {MAX_WEIGHTS} weights, got {len(parts)}")
     out = []
     for p in parts:
         try:
             out.append(int(p))
         except ValueError:
-            raise InputError(f"bad weight token: {p!r}") from None
-    if not out:
-        raise InputError("empty weight list")
+            raise ValueError(f"bad weight token: {p!r}") from None
     return tuple(out)
 
 
@@ -107,8 +97,6 @@ def cmd_check(args, out) -> int:
     weights = _parse_weights(args.weights)
     inputs = {"weights": list(weights)}
     if args.index is not None:
-        if args.index < 1:
-            raise InputError(f"index must be positive, got {args.index}")
         _check_index(args.index, "index")
         inputs["index"] = args.index
         result = {"terminal_cqs": is_terminal_cqs(weights, args.index)}
@@ -122,22 +110,24 @@ def cmd_check(args, out) -> int:
             "weights_sorted": sorted(weights),
             "singularity_indices": list(singularity_indices(weights)),
             "wps_terminal": is_terminal_wps(weights),
+            "blowup_terminal": None,
+            "weak_fano": None,
+            "antik_degree": None,
         }
         if blowup:
             T = BlowupVariety(len(weights), weights)
-            result.update(
-                {
-                    "blowup_terminal": is_terminal_blowup(weights),
-                    "weak_fano": is_weak_fano(T),
-                    "antik_degree": str(antik_degree(T)),
-                }
-            )
-        else:
-            result.update(
-                {"blowup_terminal": None, "weak_fano": None, "antik_degree": None}
-            )
+            result["blowup_terminal"] = is_terminal_blowup(weights)
+            result["weak_fano"] = is_weak_fano(T)
+            result["antik_degree"] = str(antik_degree(T))
     _emit_json(_record("check", inputs, result, started), out)
     return 0
+
+
+def end_summary(end: Fibration | DivContraction) -> tuple[str, tuple[int, ...]]:
+    """(end kind, end-model weight multiset) of a built link's end."""
+    if isinstance(end, DivContraction):
+        return "divisorial_contraction", end.target_weights
+    return "fibration", end.fiber_weights
 
 
 def _serialize_link(result) -> dict:
@@ -157,10 +147,6 @@ def _serialize_link(result) -> dict:
 def cmd_link(args, out) -> int:
     started = time.perf_counter()
     weights = _parse_weights(args.weights)
-    if len(weights) != args.dim:
-        raise InputError(f"expected {args.dim} weights, got {len(weights)}")
-    if any(w < 1 for w in weights):
-        raise InputError(f"blowup weights must be positive: {list(weights)}")
     _check_index(sum(weights) - 1, "blowup index sum(weights) - 1")
     inputs = {"weights": list(weights), "dim": args.dim}
     result = _serialize_link(build_link(weights, args.dim))
@@ -172,15 +158,16 @@ def cmd_link(args, out) -> int:
 def _out_path(path: str) -> str:
     """The --out path, checked before any scan.
 
-    Raises InputError unless the path's directory exists and is writable and
-    the path is not a directory, so that a scan never runs for an output it
-    cannot write.  The file itself is created only once the scan is done.
+    Raises ValueError, which ``main`` reports with exit code 2, unless the
+    path's directory exists and is writable and the path is not a
+    directory, so that a scan never runs for an output it cannot write.
+    The file itself is created only once the scan is done.
     """
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        raise InputError(f"--out directory does not exist: {parent}")
+        raise ValueError(f"--out directory does not exist: {parent}")
     if os.path.isdir(path) or not os.access(parent, os.W_OK):
-        raise InputError(f"--out is not a writable file path: {path}")
+        raise ValueError(f"--out is not a writable file path: {path}")
     return path
 
 
@@ -242,7 +229,7 @@ def cmd_classify(args, out) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write --out {path}: {exc.strerror}") from None
+            raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
         _emit_json(
             _record(
                 "classify",
@@ -352,7 +339,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

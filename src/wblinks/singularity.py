@@ -25,11 +25,18 @@ functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
+
 def _validate_weights(weights) -> tuple[int, ...]:
-    ws = tuple(int(w) for w in weights)
+    """The weights as a tuple of ints.
+
+    A float or a string raises TypeError (``operator.index``) rather than
+    being truncated or parsed, as ``int`` would.
+    """
+    ws = tuple(map(operator.index, weights))
     if not ws:
         raise ValueError("weight list must be nonempty")
     return ws
@@ -43,7 +50,7 @@ def is_terminal_cqs(weights, index: int) -> bool:
     vacuously terminal.
     """
     ws = _validate_weights(weights)
-    r = int(index)
+    r = operator.index(index)
     if r < 1:
         raise ValueError(f"index must be positive, got {r}")
     return _residue_sums_exceed(ws, r)

@@ -13,6 +13,7 @@ weight value v.  All cone data are exact integer pairs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -41,9 +42,10 @@ class BlowupVariety:
     weights: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        ws = tuple(sorted(int(w) for w in self.weights))
+        ws = tuple(sorted(map(operator.index, self.weights)))
         if len(ws) != self.dim:
             raise ValueError(f"expected {self.dim} weights, got {len(ws)}")
         if any(w < 1 for w in ws):

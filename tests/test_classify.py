@@ -182,6 +182,38 @@ def test_dim3_answer_follows_from_the_terminal_lemma():
     assert tuple(interior) == P3_ANSWER == classify(3, 60).accepted
 
 
+def test_dim4_11cd_family_follows_from_the_wall_at_1():
+    """Each step of the (1, 1, c, d) argument in the ``classify`` docstring."""
+    family = [(1, 1, c, d) for c in range(1, 41) for d in range(c, 41)]
+    interior = [ws for ws in family if antik_in_interior_mov(BlowupVariety(4, ws))]
+    assert interior == [ws for ws in family if ws[3] <= 4 * ws[2] - 2]
+    ones = [ws for ws in interior if ws[2] == 1]
+    assert ones == [(1, 1, 1, 1), (1, 1, 1, 2)]
+    assert all(interior_walls(BlowupVariety(4, ws)) == [] for ws in ones)
+    walls_terminal = []
+    for ws in family:
+        _, _, c, d = ws
+        if c == 1:
+            continue
+        T = BlowupVariety(4, ws)
+        flip = wall_flip_weights(T, 1)
+        assert interior_walls(T) == [1] and flip == (-1, -1, 0, c - 1, d - 1)
+        if d >= 3:
+            r = d - 1
+            residues = [(d - 2) * w % r for w in flip]
+            assert residues == [1, 1, 0, (1 - c) % r, 0]
+            assert sum(residues) == (d - c + 2 if c < d else 2)
+            if is_terminal_cqs(flip, r):
+                assert c == 2 < d, ws
+        if is_terminal_wps(flip):
+            walls_terminal.append(ws)
+    assert all(ws[2] == 2 for ws in walls_terminal)
+    twos = [ws for ws in walls_terminal if ws in interior]
+    assert twos == [(1, 1, 2, d) for d in range(2, 7)]
+    assert all(isinstance(build_link(ws, 4), Link) for ws in ones + twos)
+    assert [ws for ws in classify(4, 40).accepted if ws[:2] == (1, 1)] == ones + twos
+
+
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_drops_only_wall_rejections(dim, bound):
     kept = set(_survivors(dim, bound, 1))

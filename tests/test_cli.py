@@ -66,6 +66,8 @@ class TestCheck:
         assert code == 0
         assert doc["result"]["wps_terminal"] is False
         assert doc["result"]["blowup_terminal"] is None
+        assert doc["result"]["weak_fano"] is None
+        assert doc["result"]["antik_degree"] is None
 
     def test_bad_token_exits_2(self, capsys):
         code, _ = run_cli(["check", "-w", "1,x,3"])
@@ -425,6 +427,31 @@ class TestReport:
         assert "Kawamata" not in text
         assert "| (2,3,5,5) |" in text
         assert "P(1,2,3,5)-fibration over P^1" in text
+
+
+# Inputs the library refuses: the CLI reports its message, exit 2, before
+# the residue-sum criterion runs once.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["link", "--dim", "3", "-w", "1,2"], "expected 3 weights, got 2"),
+        (["link", "--dim", "3", "-w", "0,1,2"], "blowup weights must be positive"),
+        (["link", "--dim", "0", "-w", "1"], "dim must be >= 2, got 0"),
+        (["check", "-w", "1,2", "-r", "0"], "index must be positive, got 0"),
+        (["check", "-w", ","], "bad weight token"),
+    ],
+    ids=["link-count", "link-positive", "link-dim", "check-index", "check-token"],
+)
+def test_library_refusal_exits_2_before_any_work(argv, message, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "wblinks.singularity._residue_sums_exceed", lambda *a: calls.append(a)
+    )
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 def readme_cli_lines():

@@ -10,6 +10,8 @@ from wblinks import (
     end_model,
     interior_walls,
     display_orientation,
+    is_terminal_cqs,
+    is_terminal_wps,
     wall_flip_weights,
 )
 
@@ -133,3 +135,20 @@ class TestBuildLink:
     def test_permutation_invariant(self):
         assert build_link([5, 2, 1], 3) == build_link([1, 2, 5], 3)
         assert build_link([5, 3, 5, 2], 4) == build_link([2, 3, 5, 5], 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_link((1, 2, 5.5), 3),
+        lambda: is_terminal_cqs([2.7, 1, 1], 5),
+        lambda: is_terminal_cqs([2, 1, 1], 5.9),
+        lambda: is_terminal_wps(["3", 2]),
+        lambda: BlowupVariety(3.0, (1, 2, 3)),
+    ],
+    ids=["link-weight", "cqs-weight", "cqs-index", "wps-string", "blowup-dim"],
+)
+def test_non_integers_raise_type_error(call):
+    """Weights, indices and dims are never truncated or parsed into integers."""
+    with pytest.raises(TypeError):
+        call()
