@@ -1,6 +1,6 @@
 """Sarkisov links from toric weighted blowups of a point in P^3 and P^4."""
 
-from .classify import ClassificationRun, classify, shape_of, stabilization_check
+from .classify import ClassificationRun, classify, classify_stable, shape_of
 from .link import (
     DivContraction,
     Fibration,
@@ -55,6 +55,7 @@ __all__ = [
     "anticanonical_class",
     "build_link",
     "classify",
+    "classify_stable",
     "end_model",
     "exceptional_patch_types",
     "interior_walls",
@@ -66,7 +67,6 @@ __all__ = [
     "display_orientation",
     "shape_of",
     "singularity_indices",
-    "stabilization_check",
     "verify_degree_inequalities",
     "wall_flip_weights",
 ]

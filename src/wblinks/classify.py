@@ -30,6 +30,7 @@ packed-vs-scalar tests compare the two forms of the criterion.
 from __future__ import annotations
 
 import marshal
+import operator
 import os
 import signal
 from collections import Counter
@@ -57,31 +58,33 @@ MAX_BOUNDS = {3: 170, 4: 130}
 
 @dataclass(frozen=True)
 class ClassificationRun:
-    """Accepted tuples of one scan, each with its link; jobs counts its processes."""
+    """One scan's answer: each accepted tuple mapped to its link, in sorted order.
+
+    ``links`` is the run's one field of results; its keys are the accepted
+    tuples, ascending, so ``accepted`` is ``tuple(links)``.  jobs counts the
+    processes that scanned.  A run holds a dict, so it is not hashable.
+    """
 
     dim: int
     bound: int
-    accepted: tuple[tuple[int, ...], ...]
-    links: tuple[Link, ...]
+    links: dict[tuple[int, ...], Link]
     jobs: int
+
+    @property
+    def accepted(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.links)
 
     @property
     def shape_counts(self) -> dict[str, int]:
         """Accepted tuples per ``shape_of`` bucket."""
-        return dict(Counter(map(shape_of, self.accepted)))
+        return dict(Counter(map(shape_of, self.links)))
 
     def restrict(self, bound: int) -> ClassificationRun:
         """The run at a smaller bound: the tuples with top weight <= bound."""
         if bound > self.bound:
             raise ValueError(f"a run at bound {self.bound} cannot restrict to {bound}")
-        kept = [(ws, link) for ws, link in zip(self.accepted, self.links)
-                if ws[-1] <= bound]
-        return replace(
-            self,
-            bound=bound,
-            accepted=tuple(ws for ws, _ in kept),
-            links=tuple(link for _, link in kept),
-        )
+        links = {ws: link for ws, link in self.links.items() if ws[-1] <= bound}
+        return replace(self, bound=bound, links=links)
 
 
 def shape_of(weights: tuple[int, ...]) -> str:
@@ -258,7 +261,11 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
 
 
 def _check_scan(dim: int, bound: int) -> None:
-    """Raise ValueError unless dim is 3 or 4 and 2 <= bound <= MAX_BOUNDS[dim]."""
+    """Raise ValueError unless dim is 3 or 4 and 2 <= bound <= MAX_BOUNDS[dim].
+
+    A float or a string dim or bound raises TypeError (``operator.index``).
+    """
+    dim, bound = operator.index(dim), operator.index(bound)
     if dim not in MAX_BOUNDS:
         raise ValueError(f"dim must be 3 or 4, got {dim}")
     if bound < 2:
@@ -276,9 +283,11 @@ def worker_count(jobs: int, dim: int, bound: int) -> int:
     The scan forks all but one of them at once, so an uncapped count would
     start that many processes.  Usable CPUs are the affinity mask where
     ``os.sched_getaffinity`` exists (Linux) and ``os.cpu_count()``
-    elsewhere; without ``os.fork`` the scan runs in one process.
+    elsewhere; without ``os.fork`` the scan runs in one process.  A float
+    or a string jobs, dim or bound raises TypeError (``operator.index``).
     """
-    if not isinstance(jobs, int) or jobs < 1:
+    jobs, dim, bound = map(operator.index, (jobs, dim, bound))
+    if jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if not hasattr(os, "fork"):
         return 1
@@ -332,31 +341,23 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     """
     _check_scan(dim, bound)
     jobs = worker_count(jobs, dim, bound)
-    kept = [(ws, link) for ws in _survivors(dim, bound, jobs)
-            if isinstance(link := build_link(ws, dim), Link)]
-    return ClassificationRun(
-        dim=dim,
-        bound=bound,
-        accepted=tuple(ws for ws, _ in kept),
-        links=tuple(link for _, link in kept),
-        jobs=jobs,
-    )
+    links = {ws: link for ws in _survivors(dim, bound, jobs)
+             if isinstance(link := build_link(ws, dim), Link)}
+    return ClassificationRun(dim=dim, bound=bound, links=links, jobs=jobs)
 
 
 def classify_stable(
     dim: int, bound: int, jobs: int = 1
 ) -> tuple[ClassificationRun, bool]:
-    """The run at bound, and whether its accepted set equals the one at 2 * bound.
+    """The run at bound, and whether it accepts what the run at 2 * bound does.
 
-    One scan at 2 * bound: the set is stable iff no tuple accepted there has
-    top weight in (bound, 2 * bound].  The bound is checked before the scan
-    checks twice the bound, so a bound below 2 is refused as such.
+    One scan at 2 * bound, cut to bound by ``restrict``: the flag is True
+    iff the cut run's links equal the full run's, that is iff no tuple
+    accepted at 2 * bound has top weight in (bound, 2 * bound].  The bound
+    is checked before the scan checks twice the bound, so a bound below 2
+    is refused as such.
     """
     _check_scan(dim, bound)
     run = classify(dim, 2 * bound, jobs)
-    return run.restrict(bound), all(ws[-1] <= bound for ws in run.accepted)
-
-
-def stabilization_check(dim: int, bound: int, jobs: int = 1) -> bool:
-    """True iff the accepted set is unchanged when the bound doubles."""
-    return classify_stable(dim, bound, jobs)[1]
+    kept = run.restrict(bound)
+    return kept, kept.links == run.links

@@ -175,7 +175,7 @@ def _classify_payload(run, stabilized) -> dict:
     return {
         "dim": run.dim,
         "bound": run.bound,
-        "total": len(run.accepted),
+        "total": len(run.links),
         "accepted": [list(ws) for ws in run.accepted],
         "shape_counts": dict(sorted(run.shape_counts.items())),
         "stabilized": stabilized,
@@ -186,18 +186,18 @@ def _classify_csv(run) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["weights", "end_kind", "target"])
-    for ws, link in zip(run.accepted, run.links):
+    for ws, link in run.links.items():
         kind, target = end_summary(link.end)
         writer.writerow([_wformat(ws), kind, _wformat(target)])
     return buf.getvalue()
 
 
 def _classify_table(run, stabilized) -> str:
-    lines = [f"dim={run.dim} bound={run.bound} total={len(run.accepted)}"]
+    lines = [f"dim={run.dim} bound={run.bound} total={len(run.links)}"]
     if stabilized is not None:
         lines.append(f"stabilized={stabilized}")
     lines.append("")
-    for ws, link in zip(run.accepted, run.links):
+    for ws, link in run.links.items():
         kind, target = end_summary(link.end)
         lines.append(f"({','.join(map(str, ws))})  {kind}  P({','.join(map(str, target))})")
     lines.append("")
@@ -234,16 +234,16 @@ def cmd_classify(args, out) -> int:
             _record(
                 "classify",
                 inputs,
-                {"written": args.out, "total": len(run.accepted)},
+                {"written": args.out, "total": len(run.links)},
                 started,
             ),
             out,
         )
     else:
         out.write(text)
-    if args.expect is not None and len(run.accepted) != args.expect:
+    if args.expect is not None and len(run.links) != args.expect:
         sys.stderr.write(
-            f"expected {args.expect} tuples, found {len(run.accepted)}\n"
+            f"expected {args.expect} tuples, found {len(run.links)}\n"
         )
         return 3
     return 0
@@ -258,7 +258,7 @@ def render_report(dim: int, bound: int, jobs: int = 1) -> str:
         "| weights | flip steps | end map | model |",
         "| --- | --- | --- | --- |",
     ]
-    for ws, link in zip(run.accepted, run.links):
+    for ws, link in run.links.items():
         steps = "; ".join(
             "(" + ",".join(str(x) for x in display_orientation(s.flip_weights)) + ")"
             for s in link.steps

@@ -205,36 +205,26 @@ def is_terminal_wps(weights) -> bool:
     return all(_residue_sums_exceed(ws, e) for e in set(ws) if e > 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CyclicQuotient:
     """The cyclic quotient singularity 1/index(weights).
 
-    Values are equal up to permutation of the weights and up to reduction
-    of each weight modulo the index.
+    The weights are stored reduced modulo the index and sorted, so the
+    dataclass's equality and hash compare values up to permutation of the
+    weights and reduction modulo the index: 1/5(-1, 3, 2) is 1/5(2, 3, 4).
+    A float or a string index raises TypeError (``operator.index``).
     """
 
     index: int
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _validate_weights(self.weights))
-        if self.index < 1:
-            raise ValueError(f"index must be positive, got {self.index}")
-
-    @property
-    def canonical_weights(self) -> tuple[int, ...]:
-        return tuple(sorted(w % self.index for w in self.weights))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicQuotient):
-            return NotImplemented
-        return (self.index, self.canonical_weights) == (
-            other.index,
-            other.canonical_weights,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.canonical_weights))
+        index = operator.index(self.index)
+        if index < 1:
+            raise ValueError(f"index must be positive, got {index}")
+        weights = sorted(w % index for w in _validate_weights(self.weights))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "weights", tuple(weights))
 
     @property
     def is_smooth(self) -> bool:

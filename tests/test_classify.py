@@ -26,7 +26,6 @@ from wblinks import (
     is_terminal_cqs,
     is_terminal_wps,
     shape_of,
-    stabilization_check,
     wall_flip_weights,
 )
 from wblinks.classify import (
@@ -274,18 +273,29 @@ def test_stabilization_small_bound_fails():
     # (1,2,5) is missing at bound 2 but present at bound 5
     assert (1, 2, 5) not in classify(3, 2).accepted
     assert (1, 2, 5) in classify(3, 5).accepted
-    assert stabilization_check(3, 2) is False
+    assert classify_stable(3, 2)[1] is False
 
 
 def test_stabilization_p3():
-    assert stabilization_check(3, 64) is True
+    assert classify_stable(3, 64)[1] is True
 
 
 def test_run_keeps_the_links_it_built():
     run = classify(3, 64)
-    assert len(run.links) == len(run.accepted)
-    for ws, link in zip(run.accepted, run.links):
+    assert tuple(run.links) == run.accepted
+    for ws, link in run.links.items():
         assert link == build_link(ws, 3)
+
+
+@pytest.mark.parametrize(
+    "dim, bound", [(3, b) for b in range(2, 9)] + [(4, 6), (4, 16)]
+)
+def test_stable_flag_matches_two_independent_scans(dim, bound):
+    """False for dim 3 at bounds 2-4 and dim 4 at 6 and 16; True for dim 3 from 5."""
+    run = classify(dim, bound)
+    stable = run.accepted == classify(dim, 2 * bound).accepted
+    assert classify_stable(dim, bound) == (run, stable)
+    assert stable == (dim == 3 and bound >= 5)
 
 
 @pytest.mark.parametrize("dim, top, bounds", [(3, 64, range(2, 33)), (4, 24, (2, 5, 12))])
@@ -346,6 +356,20 @@ def no_scan(monkeypatch):
         raise AssertionError(f"scan started at dim {dim}, bound {bound}")
 
     monkeypatch.setattr(SCAN, "_partitions", refuse)
+
+
+def test_non_integer_scan_inputs_raise_type_error(no_scan, monkeypatch):
+    with pytest.raises(TypeError):
+        classify(3.0, 40)
+    with pytest.raises(TypeError):
+        classify(4, 40.0)
+    with pytest.raises(TypeError):
+        classify_stable(4, 10.5)
+    with pytest.raises(TypeError):
+        worker_count(2.0, 4, 40)
+    monkeypatch.undo()  # lift no_scan: a bool jobs is an integer, so this scans
+    jobs = classify(3, 8, jobs=True).jobs
+    assert jobs == 1 and type(jobs) is int
 
 
 @pytest.mark.parametrize(

@@ -227,3 +227,14 @@ class TestCyclicQuotient:
 
     def test_str(self):
         assert str(CyclicQuotient(3, (1, 1, 2))) == "1/3(1,1,2)"
+
+    def test_non_integer_index_raises_type_error(self):
+        with pytest.raises(TypeError):
+            CyclicQuotient(5.5, (1, 2))
+        with pytest.raises(TypeError):
+            CyclicQuotient("5", (1, 2))
+
+    def test_stores_reduced_sorted_weights(self):
+        q = CyclicQuotient(5, (-1, 3, 2))
+        assert q.weights == (2, 3, 4)
+        assert str(q) == "1/5(2,3,4)"
