@@ -1,0 +1,58 @@
+"""Frozen value records: the base class of the package's immutable values.
+
+A record behaves as a ``@dataclass(frozen=True)`` does, without importing
+``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and builds
+each class's methods with ``exec`` when the package is imported.
+
+A subclass names its fields, in order, in ``__slots__``, and its own
+``__init__`` sets each one with ``object.__setattr__``.  It has at least two
+fields, so that ``attrgetter`` of them returns their tuple.
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    """Equality, hash, repr, immutability and copying from the field tuple.
+
+    Two records are equal iff they are of the same class and have equal
+    field tuples.  The hash is the hash of the field tuple, so hashing a
+    record with an unhashable field (a dict) raises TypeError.  Assigning
+    or deleting an attribute raises AttributeError.  ``pickle`` and
+    ``copy`` rebuild a record by calling its class on its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # One C-level call builds the field tuple that __eq__ and __hash__ compare.
+        cls._astuple = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple)
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._astuple)
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order; values are not copied."""
+        return dict(zip(self.__slots__, self._astuple))
+
+    def _replace(self, **changes):
+        """A record of the same class with the given fields changed."""
+        return type(self)(**{**self._asdict(), **changes})

@@ -34,10 +34,10 @@ import operator
 import os
 import signal
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import comb
 
+from ._record import Record
 from .link import Link, build_link
 from .singularity import _residue_table
 
@@ -56,19 +56,22 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
-@dataclass(frozen=True)
-class ClassificationRun:
+class ClassificationRun(Record):
     """One scan's answer: each accepted tuple mapped to its link, in sorted order.
 
     ``links`` is the run's one field of results; its keys are the accepted
     tuples, ascending, so ``accepted`` is ``tuple(links)``.  jobs counts the
-    processes that scanned.  A run holds a dict, so it is not hashable.
+    processes that scanned.  A run's hash is the hash of its fields, and
+    ``links`` is a dict, so hashing a run raises TypeError.
     """
 
-    dim: int
-    bound: int
-    links: dict[tuple[int, ...], Link]
-    jobs: int
+    __slots__ = ("dim", "bound", "links", "jobs")
+
+    def __init__(self, dim: int, bound: int, links: dict[tuple[int, ...], Link], jobs: int):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "jobs", jobs)
 
     @property
     def accepted(self) -> tuple[tuple[int, ...], ...]:
@@ -84,7 +87,7 @@ class ClassificationRun:
         if bound > self.bound:
             raise ValueError(f"a run at bound {self.bound} cannot restrict to {bound}")
         links = {ws: link for ws, link in self.links.items() if ws[-1] <= bound}
-        return replace(self, bound=bound, links=links)
+        return self._replace(bound=bound, links=links)
 
 
 def shape_of(weights: tuple[int, ...]) -> str:

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from .classify import DEFAULT_BOUNDS, MAX_BOUNDS, classify, classify_stable
 from .link import DivContraction, Fibration, Link, build_link, display_orientation
@@ -131,16 +130,16 @@ def end_summary(end: Fibration | DivContraction) -> tuple[str, tuple[int, ...]]:
 
 
 def _serialize_link(result) -> dict:
-    """The link or rejection as JSON: the dataclass field names are the keys."""
+    """The link or rejection as JSON: the record field names are the keys."""
     if not isinstance(result, Link):
-        return {"accepted": False, "rejection": asdict(result)}
+        return {"accepted": False, "rejection": result._asdict()}
     return {
         "accepted": True,
         "steps": [
-            {**asdict(s), "flip_weights_display": display_orientation(s.flip_weights)}
+            {**s._asdict(), "flip_weights_display": display_orientation(s.flip_weights)}
             for s in result.steps
         ],
-        "end": {"kind": end_summary(result.end)[0], **asdict(result.end)},
+        "end": {"kind": end_summary(result.end)[0], **result.end._asdict()},
     }
 
 

@@ -42,8 +42,7 @@ into a lower side (u, x_0, and each x_i with a_i < w) and an upper side
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .singularity import is_terminal_blowup, is_terminal_wps
 from .toric import BlowupVariety, antik_in_interior_mov
 
@@ -52,42 +51,52 @@ STAGE_INTERIOR = "antik_not_interior"
 STAGE_WALL = "wall_not_terminal"
 
 
-@dataclass(frozen=True)
-class FlipStep:
+class FlipStep(Record):
     """One small modification, crossing the wall H - wall*E."""
 
-    wall: int
-    flip_weights: tuple[int, ...]
+    __slots__ = ("wall", "flip_weights")
+
+    def __init__(self, wall: int, flip_weights: tuple[int, ...]):
+        object.__setattr__(self, "wall", wall)
+        object.__setattr__(self, "flip_weights", flip_weights)
 
 
-@dataclass(frozen=True)
-class Fibration:
+class Fibration(Record):
     """End of link: fibration over P^base_dim with weighted projective fibres."""
 
-    base_dim: int
-    fiber_weights: tuple[int, ...]
+    __slots__ = ("base_dim", "fiber_weights")
+
+    def __init__(self, base_dim: int, fiber_weights: tuple[int, ...]):
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "fiber_weights", fiber_weights)
 
 
-@dataclass(frozen=True)
-class DivContraction:
+class DivContraction(Record):
     """End of link: divisorial contraction to a center in P(target_weights)."""
 
-    target_weights: tuple[int, ...]
-    center_dim: int
-    center_index: int
+    __slots__ = ("target_weights", "center_dim", "center_index")
+
+    def __init__(self, target_weights: tuple[int, ...], center_dim: int, center_index: int):
+        object.__setattr__(self, "target_weights", target_weights)
+        object.__setattr__(self, "center_dim", center_dim)
+        object.__setattr__(self, "center_index", center_index)
 
 
-@dataclass(frozen=True)
-class Link:
-    steps: tuple[FlipStep, ...]
-    end: Fibration | DivContraction
+class Link(Record):
+    __slots__ = ("steps", "end")
+
+    def __init__(self, steps: tuple[FlipStep, ...], end: Fibration | DivContraction):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "end", end)
 
 
-@dataclass(frozen=True)
-class Rejected:
-    stage: str
-    wall: int | None
-    detail: str
+class Rejected(Record):
+    __slots__ = ("stage", "wall", "detail")
+
+    def __init__(self, stage: str, wall: int | None, detail: str):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "wall", wall)
+        object.__setattr__(self, "detail", detail)
 
 
 LinkResult = Link | Rejected

@@ -26,8 +26,9 @@ functions are pure and thread-safe.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
+
+from ._record import Record
 
 
 def _validate_weights(weights) -> tuple[int, ...]:
@@ -205,24 +206,23 @@ def is_terminal_wps(weights) -> bool:
     return all(_residue_sums_exceed(ws, e) for e in set(ws) if e > 1)
 
 
-@dataclass(frozen=True)
-class CyclicQuotient:
+class CyclicQuotient(Record):
     """The cyclic quotient singularity 1/index(weights).
 
     The weights are stored reduced modulo the index and sorted, so the
-    dataclass's equality and hash compare values up to permutation of the
-    weights and reduction modulo the index: 1/5(-1, 3, 2) is 1/5(2, 3, 4).
-    A float or a string index raises TypeError (``operator.index``).
+    record's field equality and hash compare values up to permutation of
+    the weights and reduction modulo the index: 1/5(-1, 3, 2) is
+    1/5(2, 3, 4).  A float or a string index raises TypeError
+    (``operator.index``).
     """
 
-    index: int
-    weights: tuple[int, ...]
+    __slots__ = ("index", "weights")
 
-    def __post_init__(self):
-        index = operator.index(self.index)
+    def __init__(self, index: int, weights: tuple[int, ...]):
+        index = operator.index(index)
         if index < 1:
             raise ValueError(f"index must be positive, got {index}")
-        weights = sorted(w % index for w in _validate_weights(self.weights))
+        weights = sorted(w % index for w in _validate_weights(weights))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "weights", tuple(weights))
 

@@ -14,42 +14,44 @@ weight value v.  All cone data are exact integer pairs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import prod
+
+from ._record import Record
 
 FANO = "fano"
 WEAK_NOT_FANO = "weak_not_fano"
 NOT_WEAK_FANO = "not_weak_fano"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """The class h*H + e*E in Cl(T)."""
 
-    h: int
-    e: int
+    __slots__ = ("h", "e")
+
+    def __init__(self, h: int, e: int):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "e", e)
 
 
 H = DivisorClass(1, 0)
 E = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
-class BlowupVariety:
+class BlowupVariety(Record):
     """Weighted blowup of P^dim at a point; weights stored sorted ascending."""
 
-    dim: int
-    weights: tuple[int, ...]
+    __slots__ = ("dim", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", operator.index(self.dim))
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        ws = tuple(sorted(map(operator.index, self.weights)))
-        if len(ws) != self.dim:
-            raise ValueError(f"expected {self.dim} weights, got {len(ws)}")
+    def __init__(self, dim: int, weights: tuple[int, ...]):
+        dim = operator.index(dim)
+        if dim < 2:
+            raise ValueError(f"dim must be >= 2, got {dim}")
+        ws = tuple(sorted(map(operator.index, weights)))
+        if len(ws) != dim:
+            raise ValueError(f"expected {dim} weights, got {len(ws)}")
         if any(w < 1 for w in ws):
             raise ValueError(f"blowup weights must be positive, got {list(ws)}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "weights", ws)
 
     @property
@@ -64,8 +66,7 @@ class BlowupVariety:
         return f"Bl({','.join(str(w) for w in self.weights)})P^{self.dim}"
 
 
-@dataclass(frozen=True)
-class MoriStructure:
+class MoriStructure(Record):
     """Eff/Mov cones and the nef-chamber decomposition of Mov(T).
 
     ``mov_boundary_big`` is False exactly when the two largest weights tie,
@@ -73,12 +74,23 @@ class MoriStructure:
     the link ends with a fibration.
     """
 
-    eff_lo: DivisorClass
-    eff_hi: DivisorClass
-    mov_lo: DivisorClass
-    mov_hi: DivisorClass
-    nef_chambers: tuple[tuple[DivisorClass, DivisorClass], ...]
-    mov_boundary_big: bool
+    __slots__ = ("eff_lo", "eff_hi", "mov_lo", "mov_hi", "nef_chambers", "mov_boundary_big")
+
+    def __init__(
+        self,
+        eff_lo: DivisorClass,
+        eff_hi: DivisorClass,
+        mov_lo: DivisorClass,
+        mov_hi: DivisorClass,
+        nef_chambers: tuple[tuple[DivisorClass, DivisorClass], ...],
+        mov_boundary_big: bool,
+    ):
+        object.__setattr__(self, "eff_lo", eff_lo)
+        object.__setattr__(self, "eff_hi", eff_hi)
+        object.__setattr__(self, "mov_lo", mov_lo)
+        object.__setattr__(self, "mov_hi", mov_hi)
+        object.__setattr__(self, "nef_chambers", nef_chambers)
+        object.__setattr__(self, "mov_boundary_big", mov_boundary_big)
 
 
 def anticanonical_class(T: BlowupVariety) -> DivisorClass:

@@ -6,7 +6,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -508,7 +507,7 @@ def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
     assert_no_process_left()
     run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
     assert run.jobs == 2 and serial.jobs == 1
-    assert run == replace(serial, jobs=2)
+    assert run == serial._replace(jobs=2)
     assert_no_process_left()
 
 

@@ -495,25 +495,28 @@ def test_unknown_flag_exits_2():
 # forks its own processes, so it loads no pool either.
 COLD_START = """
 import io, json, os, sys
+LAZY = ("concurrent.futures", "multiprocessing", "fractions", "dataclasses", "inspect")
+import wblinks
+loaded = [[m for m in LAZY if m in sys.modules]]
 from wblinks.cli import main
+loaded.append([m for m in LAZY if m in sys.modules])
 
 os.sched_getaffinity = lambda pid: {0, 1}
-LAZY = ("concurrent.futures", "multiprocessing", "fractions")
-loaded = [[m for m in LAZY if m in sys.modules]]
 for argv in (["classify", "--dim", "3", "--bound", "8"],
              ["classify", "--dim", "3", "--bound", "8", "--jobs", "2"],
-             ["link", "--dim", "4", "-w", "1,2,3,5"]):
+             ["link", "--dim", "4", "-w", "1,2,3,5"],
+             ["report", "--dim", "3", "--bound", "8"]):
     assert main(argv, out=io.StringIO()) == 0
     loaded.append([m for m in LAZY if m in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-def test_serial_commands_do_not_load_the_pool_or_fractions():
+def test_commands_do_not_load_the_pool_fractions_or_dataclasses():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(proc.stdout) == [[], [], [], []]
+    assert json.loads(proc.stdout) == [[]] * 6
