@@ -4,18 +4,22 @@ A record behaves as a ``@dataclass(frozen=True)`` does, without importing
 ``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and builds
 each class's methods with ``exec`` when the package is imported.
 
-A subclass names its fields, in order, in ``__slots__``, and its own
-``__init__`` sets each one with ``object.__setattr__``.  It has at least two
-fields, so that ``attrgetter`` of them returns their tuple.
+A subclass names its fields, in order, in ``__slots__``, at least two of
+them, so that ``attrgetter`` of them returns their tuple.  ``Record.__init__``
+fills them, by position or by name.  Only a record that checks or
+canonicalizes its inputs defines ``__init__``, and it passes the checked
+values on to ``Record.__init__``.
 """
 
 from operator import attrgetter
 
 
 class Record:
-    """Equality, hash, repr, immutability and copying from the field tuple.
+    """Construction, equality, hash, repr, immutability and copying of the fields.
 
-    Two records are equal iff they are of the same class and have equal
+    The constructor takes each field exactly once, by position or by name,
+    and raises TypeError naming the class and its fields otherwise.  Two
+    records are equal iff they are of the same class and have equal
     field tuples.  The hash is the hash of the field tuple, so hashing a
     record with an unhashable field (a dict) raises TypeError.  Assigning
     or deleting an attribute raises AttributeError.  ``pickle`` and
@@ -27,6 +31,21 @@ class Record:
     def __init_subclass__(cls):
         # One C-level call builds the field tuple that __eq__ and __hash__ compare.
         cls._astuple = property(attrgetter(*cls.__slots__))
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = args
+        if kwargs:
+            values += tuple(kwargs[n] for n in fields[len(args):] if n in kwargs)
+        # Valid iff every keyword names a field after the positionals and every field is given.
+        if len(values) != len(args) + len(kwargs) or len(values) != len(fields):
+            faults = [f"{len(args)} positional values"] if len(args) > len(fields) else []
+            faults += [f"field {n!r} given twice" for n in kwargs if n in fields[:len(args)]]
+            faults += [f"unknown field {n!r}" for n in kwargs if n not in fields]
+            faults += [f"missing field {n!r}" for n in fields[len(args):] if n not in kwargs]
+            raise TypeError(f"{type(self).__qualname__}({', '.join(fields)}): {'; '.join(faults)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -67,12 +67,6 @@ class ClassificationRun(Record):
 
     __slots__ = ("dim", "bound", "links", "jobs")
 
-    def __init__(self, dim: int, bound: int, links: dict[tuple[int, ...], Link], jobs: int):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "jobs", jobs)
-
     @property
     def accepted(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.links)
@@ -336,10 +330,23 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       gives d <= 6.  For c = d they sum to 2 <= d - 1.
     - So c = d leaves only (1, 1, 2, 2).
 
-    ``build_link`` accepts all seven.  The rest of the dimension-4 answer,
-    421 quadruples with top weight <= 39 in all, is computed, not proved:
-    the other repeated-weight shapes (15 quadruples) and the 399 strictly
-    increasing ones.  CI checks that it is complete to top weight 130:
+    ``build_link`` accepts all seven.  The family (1, 2, 2, d), d >= 2, is
+    (1, 2, 2, 3) and (1, 2, 2, 5) at every bound >= 5:
+
+    - The only wall is at 1, with flip (-1, -1, 1, 1, d-1).  Its only
+      entry > 1 is e = d - 1, when d >= 3; at index e and every k the
+      residues are e - k, e - k, k, k and 0, which sum to 2e > e.  So the
+      wall is terminal for every d.
+    - -K is interior iff 10 > d + 4, that is d <= 5.
+    - The blowup 1/V(1, 2, 2, d), V = d + 4, is not terminal at d = 2
+      (V = 6: the residue sum at k = 3 is 3) or at d = 4 (V = 8: the
+      residue sum at k = 4 is 4).  That leaves (1, 2, 2, 3) and
+      (1, 2, 2, 5), and ``build_link`` accepts both.
+
+    The rest of the dimension-4 answer, 421 quadruples with top weight
+    <= 39 in all, is computed, not proved: the other repeated-weight shapes
+    (13 quadruples) and the 399 strictly increasing ones.  CI checks that
+    it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """
     _check_scan(dim, bound)

@@ -56,19 +56,11 @@ class FlipStep(Record):
 
     __slots__ = ("wall", "flip_weights")
 
-    def __init__(self, wall: int, flip_weights: tuple[int, ...]):
-        object.__setattr__(self, "wall", wall)
-        object.__setattr__(self, "flip_weights", flip_weights)
-
 
 class Fibration(Record):
     """End of link: fibration over P^base_dim with weighted projective fibres."""
 
     __slots__ = ("base_dim", "fiber_weights")
-
-    def __init__(self, base_dim: int, fiber_weights: tuple[int, ...]):
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "fiber_weights", fiber_weights)
 
 
 class DivContraction(Record):
@@ -76,27 +68,17 @@ class DivContraction(Record):
 
     __slots__ = ("target_weights", "center_dim", "center_index")
 
-    def __init__(self, target_weights: tuple[int, ...], center_dim: int, center_index: int):
-        object.__setattr__(self, "target_weights", target_weights)
-        object.__setattr__(self, "center_dim", center_dim)
-        object.__setattr__(self, "center_index", center_index)
-
 
 class Link(Record):
-    __slots__ = ("steps", "end")
+    """An accepted candidate: its flips, in wall order, then the end of the link."""
 
-    def __init__(self, steps: tuple[FlipStep, ...], end: Fibration | DivContraction):
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "end", end)
+    __slots__ = ("steps", "end")
 
 
 class Rejected(Record):
-    __slots__ = ("stage", "wall", "detail")
+    """A refused candidate: the first stage it fails, the wall (None before the walls), a detail."""
 
-    def __init__(self, stage: str, wall: int | None, detail: str):
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "wall", wall)
-        object.__setattr__(self, "detail", detail)
+    __slots__ = ("stage", "wall", "detail")
 
 
 LinkResult = Link | Rejected
@@ -145,16 +127,9 @@ def end_model(T: BlowupVariety) -> Fibration | DivContraction:
     top = a[-1]
     if T.second_largest == top:
         fiber = sorted([1, top] + [top - w for w in a if w < top])
-        return Fibration(
-            base_dim=a.count(top) - 1,
-            fiber_weights=tuple(fiber),
-        )
+        return Fibration(a.count(top) - 1, tuple(fiber))
     target = sorted([1, top] + [top - w for w in a[:-1]])
-    return DivContraction(
-        target_weights=tuple(target),
-        center_dim=a.count(T.second_largest) - 1,
-        center_index=top - T.second_largest,
-    )
+    return DivContraction(tuple(target), a.count(T.second_largest) - 1, top - T.second_largest)
 
 
 def build_link(weights, dim: int) -> LinkResult:
@@ -183,5 +158,5 @@ def build_link(weights, dim: int) -> LinkResult:
         flip = _flip_weights(T.weights, v)
         if not is_terminal_wps(flip):
             return Rejected(STAGE_WALL, v, f"flip_weights={flip}")
-        steps.append(FlipStep(wall=v, flip_weights=flip))
-    return Link(steps=tuple(steps), end=end_model(T))
+        steps.append(FlipStep(v, flip))
+    return Link(tuple(steps), end_model(T))

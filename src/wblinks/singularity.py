@@ -223,8 +223,7 @@ class CyclicQuotient(Record):
         if index < 1:
             raise ValueError(f"index must be positive, got {index}")
         weights = sorted(w % index for w in _validate_weights(weights))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "weights", tuple(weights))
+        super().__init__(index, tuple(weights))
 
     @property
     def is_smooth(self) -> bool:

@@ -28,10 +28,6 @@ class DivisorClass(Record):
 
     __slots__ = ("h", "e")
 
-    def __init__(self, h: int, e: int):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "e", e)
-
 
 H = DivisorClass(1, 0)
 E = DivisorClass(0, 1)
@@ -51,8 +47,7 @@ class BlowupVariety(Record):
             raise ValueError(f"expected {dim} weights, got {len(ws)}")
         if any(w < 1 for w in ws):
             raise ValueError(f"blowup weights must be positive, got {list(ws)}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "weights", ws)
+        super().__init__(dim, ws)
 
     @property
     def weight_sum(self) -> int:
@@ -75,22 +70,6 @@ class MoriStructure(Record):
     """
 
     __slots__ = ("eff_lo", "eff_hi", "mov_lo", "mov_hi", "nef_chambers", "mov_boundary_big")
-
-    def __init__(
-        self,
-        eff_lo: DivisorClass,
-        eff_hi: DivisorClass,
-        mov_lo: DivisorClass,
-        mov_hi: DivisorClass,
-        nef_chambers: tuple[tuple[DivisorClass, DivisorClass], ...],
-        mov_boundary_big: bool,
-    ):
-        object.__setattr__(self, "eff_lo", eff_lo)
-        object.__setattr__(self, "eff_hi", eff_hi)
-        object.__setattr__(self, "mov_lo", mov_lo)
-        object.__setattr__(self, "mov_hi", mov_hi)
-        object.__setattr__(self, "nef_chambers", nef_chambers)
-        object.__setattr__(self, "mov_boundary_big", mov_boundary_big)
 
 
 def anticanonical_class(T: BlowupVariety) -> DivisorClass:

@@ -212,6 +212,32 @@ def test_dim4_11cd_family_follows_from_the_wall_at_1():
     assert [ws for ws in classify(4, 40).accepted if ws[:2] == (1, 1)] == ones + twos
 
 
+def test_dim4_122d_family_follows_from_the_wall_at_1():
+    """Each step of the (1, 2, 2, d) argument in the ``classify`` docstring."""
+    family = [(1, 2, 2, d) for d in range(2, 41)]
+    for ws in family:
+        d = ws[3]
+        T = BlowupVariety(4, ws)
+        flip = wall_flip_weights(T, 1)
+        assert interior_walls(T) == [1] and flip == (-1, -1, 1, 1, d - 1)
+        e = d - 1
+        assert [w for w in flip if w > 1] == ([e] if d >= 3 else [])
+        for k in range(1, e):
+            residues = [k * w % e for w in flip]
+            assert residues == [e - k, e - k, k, k, 0]
+            assert sum(residues) == 2 * e > e
+        assert is_terminal_wps(flip), ws
+    interior = [ws for ws in family if antik_in_interior_mov(BlowupVariety(4, ws))]
+    assert interior == [ws for ws in family if ws[3] <= 5]
+    assert [ws for ws in interior if not is_terminal_blowup(ws)] == [(1, 2, 2, 2), (1, 2, 2, 4)]
+    for ws, V, k in [((1, 2, 2, 2), 6, 3), ((1, 2, 2, 4), 8, 4)]:
+        assert V == sum(ws) - 1 and sum(k * w % V for w in ws) == k
+        assert not is_terminal_cqs(ws, V)
+    accepted = [(1, 2, 2, 3), (1, 2, 2, 5)]
+    assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
+    assert [ws for ws in classify(4, 40).accepted if ws[:3] == (1, 2, 2)] == accepted
+
+
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_drops_only_wall_rejections(dim, bound):
     kept = set(_survivors(dim, bound, 1))

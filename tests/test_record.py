@@ -17,6 +17,7 @@ from wblinks import (
     MoriStructure,
     Rejected,
 )
+from wblinks._record import Record
 
 H, E = DivisorClass(1, 0), DivisorClass(0, 1)
 FIB = Fibration(2, (1, 1))
@@ -81,6 +82,12 @@ RECORDS = [
 IDS = [type(r).__name__ for r, _, _ in RECORDS]
 
 
+def test_records_cover_every_record_type_of_the_package():
+    # Importing wblinks imports every module of the package.
+    defined = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("wblinks.")}
+    assert {type(r) for r, _, _ in RECORDS} == defined
+
+
 @pytest.mark.parametrize("record,fields,text", RECORDS, ids=IDS)
 def test_fields_and_repr(record, fields, text):
     assert {name: getattr(record, name) for name in fields} == fields
@@ -103,6 +110,36 @@ def test_equality_is_per_class_and_hash_is_the_field_tuple_hash(record, fields, 
             hash(record)
     else:
         assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+
+
+@pytest.mark.parametrize("record,fields,text", RECORDS, ids=IDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cls, values, first: cls(*values[:-1]),
+        lambda cls, values, first: cls(*values, values[0]),
+        lambda cls, values, first: cls(*values, no_such_field=1),
+        lambda cls, values, first: cls(values[0], **{first: values[0]}),
+        lambda cls, values, first: cls(*values, **{first: values[0]}),
+    ],
+    ids=["missing", "extra", "unknown", "twice", "twice-all-given"],
+)
+def test_constructor_refuses_a_field_missing_extra_unknown_or_given_twice(record, fields, text, call):
+    cls = type(record)
+    with pytest.raises(TypeError, match=cls.__name__):
+        call(cls, list(fields.values()), next(iter(fields)))
+
+
+def test_constructor_refusal_names_the_class_its_fields_and_each_fault():
+    with pytest.raises(TypeError) as info:
+        FlipStep(1, wall=1)
+    assert str(info.value) == "FlipStep(wall, flip_weights): field 'wall' given twice; missing field 'flip_weights'"
+    with pytest.raises(TypeError) as info:
+        Link((), FIB, None)
+    assert str(info.value) == "Link(steps, end): 3 positional values"
+    with pytest.raises(TypeError) as info:
+        Rejected("wall_not_terminal", wal=2, detail="")
+    assert str(info.value) == "Rejected(stage, wall, detail): unknown field 'wal'; missing field 'wall'"
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
