@@ -11,7 +11,10 @@ The published answer sets are finite (4 triples, 421 quadruples) but no
 a-priori bound on the top weight is available for dimension 4; stabilization
 under bound doubling is the empirical surrogate.  Acceptance does not depend
 on the bound, so the run at 2B holds the run at B (its tuples with top
-weight <= B) and one scan at 2B answers both questions.
+weight <= B), and B is stable iff no tuple with top weight in (B, 2B] is
+accepted.  So the one stabilizing scan runs at 2B but scans everything only
+up to B: above B it looks for one accepted tuple, and each process that
+finds one scans the rest of its share at B.
 
 Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
@@ -75,13 +78,6 @@ class ClassificationRun(Record):
     def shape_counts(self) -> dict[str, int]:
         """Accepted tuples per ``shape_of`` bucket."""
         return dict(Counter(map(shape_of, self.links)))
-
-    def restrict(self, bound: int) -> ClassificationRun:
-        """The run at a smaller bound: the tuples with top weight <= bound."""
-        if bound > self.bound:
-            raise ValueError(f"a run at bound {self.bound} cannot restrict to {bound}")
-        links = {ws: link for ws, link in self.links.items() if ws[-1] <= bound}
-        return self._replace(bound=bound, links=links)
 
 
 def shape_of(weights: tuple[int, ...]) -> str:
@@ -152,7 +148,9 @@ def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
     return True
 
 
-def _scan_partition(dim: int, bound: int, heads, tables) -> list[tuple[int, ...]]:
+def _scan_partition(
+    dim: int, bound: int, heads, tables, cut: int | None = None
+) -> list[tuple[int, ...]]:
     """Candidates (*head, c, d), head in heads, c <= d <= bound, that survive.
 
     Index-major: the blowup index V = sum(head) + S - 1 depends only on the
@@ -170,25 +168,43 @@ def _scan_partition(dim: int, bound: int, heads, tables) -> list[tuple[int, ...]
     ``build_link`` re-checks each survivor with the scalar loop, which
     shares no code with the packed tests.  The list is in scan order;
     ``_survivors`` sorts.
+
+    With a cut, every survivor with top weight <= cut is kept as without
+    one, and a survivor above the cut only until one is found that
+    ``build_link`` accepts, its witness: from then on the scan runs at
+    bound cut.  It skips the heads with top weight above the cut, and its
+    ranges of S and c shrink to d <= cut.  Survivors above the cut that
+    ``build_link`` rejects are kept too, so the caller decides on each
+    one; only an accepted tuple stops the search above the cut.
     """
     out = []
+    top = bound  # the scan's bound: cut once a witness is found
     for head in heads:
+        if head[-1] > top:
+            continue
         h = sum(head)
-        for S in range(2 * head[-1], 2 * bound + 1):
+        for S in range(2 * head[-1], 2 * top + 1):
             P, K, high = tables[h + S - 1]
             base = K
             for a in head:
                 base += P[a]
-            low = max(head[-1], S - bound, -(-(S + h) // (dim + 1)))
+            low = max(head[-1], S - top, -(-(S + h) // (dim + 1)))
             for c in range(low, S // 2 + 1):
                 if base + P[c] + P[S - c] & high == high:
                     ws = head + (c, S - c)
                     if _walls_terminal(ws, tables):
-                        out.append(ws)
+                        if cut is None or S - c <= cut:
+                            out.append(ws)
+                        elif top > cut:
+                            out.append(ws)
+                            if isinstance(build_link(ws, dim), Link):
+                                top = cut
     return out
 
 
-def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
+def _survivors(
+    dim: int, bound: int, jobs: int, cut: int | None = None
+) -> list[tuple[int, ...]]:
     """The scan's survivors, sorted, from jobs processes that scan.
 
     This function owns the scan's state: it builds the heads and the tables,
@@ -206,6 +222,12 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
     However the scan ends, the ``finally`` kills and reaps every child not
     yet reaped.  The parent merges the lists and sorts them once, so the
     order does not depend on the split; the tables go when it returns.
+
+    A cut (``classify_stable`` passes one) goes to every process: each
+    keeps all of its survivors with top weight <= cut, and stops looking
+    above the cut at its own first accepted one (see ``_scan_partition``).
+    So the list holds every survivor above the cut only when ``build_link``
+    accepts none of them, and each process then scans its whole share.
     """
     heads = _partitions(dim, bound)
     tables = _tables(dim, bound)
@@ -226,7 +248,7 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
                     with open(w, "wb") as pipe:
                         try:
                             data = marshal.dumps(
-                                _scan_partition(dim, bound, heads[i::jobs], tables))
+                                _scan_partition(dim, bound, heads[i::jobs], tables, cut))
                         except BaseException as exc:
                             pipe.write(repr(exc).encode())
                             raise
@@ -236,7 +258,7 @@ def _survivors(dim: int, bound: int, jobs: int) -> list[tuple[int, ...]]:
                     os._exit(status)
             os.close(w)
             pending[pid] = open(r, "rb")
-        out = _scan_partition(dim, bound, heads[::jobs], tables)
+        out = _scan_partition(dim, bound, heads[::jobs], tables, cut)
         for pid, pipe in list(pending.items()):
             with pipe:
                 data = pipe.read()
@@ -361,13 +383,21 @@ def classify_stable(
 ) -> tuple[ClassificationRun, bool]:
     """The run at bound, and whether it accepts what the run at 2 * bound does.
 
-    One scan at 2 * bound, cut to bound by ``restrict``: the flag is True
-    iff the cut run's links equal the full run's, that is iff no tuple
-    accepted at 2 * bound has top weight in (bound, 2 * bound].  The bound
-    is checked before the scan checks twice the bound, so a bound below 2
-    is refused as such.
+    One scan at 2 * bound with its cut at bound (see ``_survivors``): the
+    run keeps the links with top weight <= bound, and the flag is True iff
+    ``build_link`` accepts no survivor above the bound, that is iff no
+    tuple accepted at 2 * bound has top weight in (bound, 2 * bound].  A
+    survivor above the bound stops the search there only once
+    ``build_link`` has accepted it, so a fault in the packed tests can cost
+    time but never turn the flag.  jobs counts the processes of the scan at
+    2 * bound.  The bound is checked before twice the bound, so a bound
+    below 2 is refused as such.
     """
     _check_scan(dim, bound)
-    run = classify(dim, 2 * bound, jobs)
-    kept = run.restrict(bound)
-    return kept, kept.links == run.links
+    _check_scan(dim, 2 * bound)
+    jobs = worker_count(jobs, dim, 2 * bound)
+    links = {ws: link for ws in _survivors(dim, 2 * bound, jobs, cut=bound)
+             if isinstance(link := build_link(ws, dim), Link)}
+    kept = {ws: link for ws, link in links.items() if ws[-1] <= bound}
+    run = ClassificationRun(dim=dim, bound=bound, links=kept, jobs=jobs)
+    return run, len(kept) == len(links)

@@ -312,24 +312,84 @@ def test_run_keeps_the_links_it_built():
         assert link == build_link(ws, 3)
 
 
+@cache
+def serial_run(dim, bound):
+    return classify(dim, bound)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
-    "dim, bound", [(3, b) for b in range(2, 9)] + [(4, 6), (4, 16)]
+    "dim, bound",
+    [(3, b) for b in range(2, 9)] + [(4, b) for b in range(2, 25)] + [(4, 39)],
 )
-def test_stable_flag_matches_two_independent_scans(dim, bound):
-    """False for dim 3 at bounds 2-4 and dim 4 at 6 and 16; True for dim 3 from 5."""
-    run = classify(dim, bound)
-    stable = run.accepted == classify(dim, 2 * bound).accepted
-    assert classify_stable(dim, bound) == (run, stable)
-    assert stable == (dim == 3 and bound >= 5)
+def test_stable_flag_matches_two_independent_scans(two_cpus, dim, bound, jobs):
+    """False for dim 3 at bounds 2-4 and dim 4 up to 24; True for dim 3 from 5 and at 39.
+
+    The stabilizing scan stops looking above the bound once it holds an
+    accepted tuple there; the run and the flag are those of full scans.
+    """
+    run = serial_run(dim, bound)
+    stable = run.accepted == serial_run(dim, 2 * bound).accepted
+    assert classify_stable(dim, bound, jobs) == (run._replace(jobs=jobs), stable)
+    assert stable == (bound >= 5 if dim == 3 else bound == 39)
+    assert_no_process_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("refused, stable", [(2, False), (None, True)])
+def test_stabilize_stops_only_at_an_accepted_tuple(two_cpus, monkeypatch, jobs, refused, stable):
+    """build_link refuses the first survivors above the bound: two, or all of them.
+
+    A scan that stopped at its first survivor above the bound without
+    asking ``build_link`` would hand back only a refused tuple, and the
+    flag would read True.  The flag follows ``build_link``'s answers, and
+    the links at the bound are untouched.
+    """
+    expected = classify(4, 16).links
+    real, refusing = SCAN.build_link, set()
+
+    def refuse(ws, dim):
+        if ws[-1] > 16 and (ws in refusing or refused is None or len(refusing) < refused):
+            refusing.add(ws)
+            return Rejected(STAGE_WALL, None, "refused for the test")
+        return real(ws, dim)
+
+    monkeypatch.setattr(SCAN, "build_link", refuse)
+    run, flag = classify_stable(4, 16, jobs)
+    assert flag is stable
+    assert run.links == expected and run.jobs == jobs
+    assert len(refusing) >= 2
+    assert_no_process_left()
+
+
+def test_stabilize_scans_a_fraction_of_the_walls_above_an_unstable_bound(monkeypatch):
+    """At (4, 16) the first tuple above 16 is accepted early: the scan at 32 is cut.
+
+    The full scan at 32 tests 6,467 walls; the cut one, which scans every
+    candidate up to 16 but stops above it at (1, 2, 5, 17), about 1,200.
+    """
+    real, calls = SCAN._walls_terminal, []
+
+    def record(ws, tables):
+        calls.append(ws)
+        return real(ws, tables)
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    classify(4, 32)
+    full = len(calls)
+    calls.clear()
+    assert classify_stable(4, 16)[1] is False
+    assert full == 6467 and len(calls) < full / 3
 
 
 @pytest.mark.parametrize("dim, top, bounds", [(3, 64, range(2, 33)), (4, 24, (2, 5, 12))])
-def test_restrict_equals_scan_at_smaller_bound(dim, top, bounds):
+def test_scan_at_smaller_bound_is_the_larger_run_cut_to_it(dim, top, bounds):
+    """Acceptance does not depend on the bound: a run at a bound is the run
+    at a larger one, with the tuples of top weight <= bound."""
     run = classify(dim, top)
     for bound in bounds:
-        assert run.restrict(bound) == classify(dim, bound)
-    with pytest.raises(ValueError):
-        run.restrict(top + 1)
+        links = {ws: link for ws, link in run.links.items() if ws[-1] <= bound}
+        assert classify(dim, bound) == run._replace(bound=bound, links=links)
 
 
 def test_input_validation():
@@ -540,10 +600,10 @@ def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
 def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
     parent, real = os.getpid(), SCAN._scan_partition
 
-    def fail_in_child(dim, bound, heads, tables):
+    def fail_in_child(*args):
         if os.getpid() != parent:
             raise ValueError("child scan failed")
-        return real(dim, bound, heads, tables)
+        return real(*args)
 
     monkeypatch.setattr(SCAN, "_scan_partition", fail_in_child)
     message = r"failed with exit code 1: ValueError\('child scan failed'\)"
@@ -555,10 +615,10 @@ def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
 def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
     parent, real = os.getpid(), SCAN._scan_partition
 
-    def interrupt_parent(dim, bound, heads, tables):
+    def interrupt_parent(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real(dim, bound, heads, tables)
+        return real(*args)
 
     monkeypatch.setattr(SCAN, "_scan_partition", interrupt_parent)
     with pytest.raises(KeyboardInterrupt):

@@ -19,15 +19,15 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Record each scan as (dim, bound, jobs) and run it serially."""
+    """Record each scan as (dim, bound, jobs, cut) and run it serially."""
     # the package's `classify` attribute is the function, so look the module up
     module = importlib.import_module("wblinks.classify")
     real = module._survivors
     calls = []
 
-    def record(dim, bound, jobs):
-        calls.append((dim, bound, jobs))
-        return real(dim, bound, 1)
+    def record(dim, bound, jobs, cut=None):
+        calls.append((dim, bound, jobs, cut))
+        return real(dim, bound, 1, cut)
 
     monkeypatch.setattr(module, "_survivors", record)
     return calls
@@ -283,7 +283,7 @@ class TestClassify:
             ["classify", "--dim", "3", "--bound", "16", "--stabilize", "--format", fmt]
         )
         assert code == 0
-        assert scans == [(3, 32, 1)]
+        assert scans == [(3, 32, 1, 16)]
 
     def test_stabilize_bad_bound_exits_2_before_any_scan(self, scans, capsys):
         code, text = run_cli(["classify", "--dim", "3", "--bound", "1", "--stabilize"])
@@ -308,7 +308,7 @@ class TestClassify:
             ["classify", "--dim", "3", "--bound", "2", "--jobs", "8", "--stabilize"]
         )
         assert code == 0
-        assert scans == [(3, 4, 4)]
+        assert scans == [(3, 4, 4, 2)]
         assert doc["inputs"]["jobs"] == 4
 
     def test_stabilize_small_bound_keeps_the_answer_at_the_bound(self):
@@ -348,7 +348,7 @@ class TestClassify:
     def test_default_bound_is_per_dimension(self, scans, dim, bound, total):
         code, doc = run_json(["classify", "--dim", str(dim)])
         assert code == 0
-        assert scans == [(dim, bound, 1)]
+        assert scans == [(dim, bound, 1, None)]
         assert doc["inputs"]["bound"] == bound
         assert doc["result"]["total"] == total
 
