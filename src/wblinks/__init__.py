@@ -11,11 +11,8 @@ from .link import (
     end_model,
     interior_walls,
     display_orientation,
-    wall_flip_weights,
 )
 from .singularity import (
-    CyclicQuotient,
-    exceptional_patch_types,
     is_terminal_blowup,
     is_terminal_cqs,
     is_terminal_wps,
@@ -26,49 +23,38 @@ from .toric import (
     NOT_WEAK_FANO,
     WEAK_NOT_FANO,
     BlowupVariety,
-    DivisorClass,
-    MoriStructure,
     antik_degree,
     antik_in_interior_mov,
-    anticanonical_class,
     is_weak_fano,
-    mori_structure,
     verify_degree_inequalities,
 )
 
 __all__ = [
     "BlowupVariety",
     "ClassificationRun",
-    "CyclicQuotient",
     "DivContraction",
-    "DivisorClass",
     "FANO",
     "Fibration",
     "FlipStep",
     "Link",
-    "MoriStructure",
     "NOT_WEAK_FANO",
     "Rejected",
     "WEAK_NOT_FANO",
     "antik_degree",
     "antik_in_interior_mov",
-    "anticanonical_class",
     "build_link",
     "classify",
     "classify_stable",
     "end_model",
-    "exceptional_patch_types",
     "interior_walls",
     "is_terminal_blowup",
     "is_terminal_cqs",
     "is_terminal_wps",
     "is_weak_fano",
-    "mori_structure",
     "display_orientation",
     "shape_of",
     "singularity_indices",
     "verify_degree_inequalities",
-    "wall_flip_weights",
 ]
 
 __version__ = "0.1.0"

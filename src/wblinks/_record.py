@@ -2,7 +2,9 @@
 
 A record behaves as a ``@dataclass(frozen=True)`` does, without importing
 ``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and builds
-each class's methods with ``exec`` when the package is imported.
+each class's methods with ``exec`` when the package is imported.  It keeps
+only what the package uses: ``_asdict`` for the CLI's JSON, and no
+``_replace``; a changed record is built by calling its class.
 
 A subclass names its fields, in order, in ``__slots__``, at least two of
 them, so that ``attrgetter`` of them returns their tuple.  ``Record.__init__``
@@ -71,7 +73,3 @@ class Record:
     def _asdict(self) -> dict:
         """The fields by name, in order; values are not copied."""
         return dict(zip(self.__slots__, self._astuple))
-
-    def _replace(self, **changes):
-        """A record of the same class with the given fields changed."""
-        return type(self)(**{**self._asdict(), **changes})

@@ -123,7 +123,7 @@ def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
 
     This is ``is_terminal_wps``'s rule, packed, on each flip: for each
     distinct v < ws[-2], in ascending order, the terms are w - v for every
-    w in ws, then -1 and -v.  That is ``link.wall_flip_weights`` with its
+    w in ws, then -1 and -v.  That is ``link._flip_weights`` with its
     zeros, plus one more zero from w = v; a zero adds the row P[0] = 0 and
     is no entry > 1.  That leaves at most dim + 1 nonzero terms, summed at
     each entry e > 1 on the rows of ``tables[e]``.

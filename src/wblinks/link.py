@@ -100,18 +100,6 @@ def interior_walls(T: BlowupVariety) -> list[int]:
     return sorted({v for v in T.weights if v < T.second_largest})
 
 
-def wall_flip_weights(T: BlowupVariety, v: int) -> tuple[int, ...]:
-    """Local C*-weights of the small modification at the wall H - vE.
-
-    Sorted ascending, d+1 entries: {-1, -v} plus a_j - v over the weights
-    with one occurrence of v removed.  Zeros occur exactly when v is a
-    repeated weight (fibre-wise modification).
-    """
-    if v not in interior_walls(T):
-        raise ValueError(f"{v} is not an interior wall of {T}")
-    return _flip_weights(T.weights, v)
-
-
 def display_orientation(flip_weights) -> tuple[int, ...]:
     """Negated, descending form of a flip multiset (extracted locus first)."""
     return tuple(sorted((-x for x in flip_weights), reverse=True))

@@ -28,8 +28,6 @@ from __future__ import annotations
 import operator
 from math import gcd
 
-from ._record import Record
-
 
 def _validate_weights(weights) -> tuple[int, ...]:
     """The weights as a tuple of ints.
@@ -134,9 +132,10 @@ def is_terminal_blowup(weights) -> bool:
 
     The blowup T with positive weights a = (a_1,...,a_n), n >= 2, is smooth
     off its exceptional divisor, which the charts 1/a_j(-1, a_i : i != j)
-    cover (``exceptional_patch_types``); so T is terminal iff every chart
-    is.  Chart lemma: every chart is terminal iff 1/V(a) is, V = sum(a) - 1,
-    and this function tests 1/V(a).
+    cover; so T is terminal iff every chart is.  Chart lemma: every chart
+    is terminal iff 1/V(a) is, V = sum(a) - 1, and this function tests
+    1/V(a).  The tests list the charts (``exceptional_patch_types`` in
+    ``tests/reference.py``) and check the lemma against them.
 
     Proof.  Write the criterion with ages: the age of 1/r(b) at k is
     sum({k * b_i / r}), the residue sum over r, and terminal means every
@@ -204,51 +203,3 @@ def is_terminal_wps(weights) -> bool:
     """
     ws = _validate_weights(weights)
     return all(_residue_sums_exceed(ws, e) for e in set(ws) if e > 1)
-
-
-class CyclicQuotient(Record):
-    """The cyclic quotient singularity 1/index(weights).
-
-    The weights are stored reduced modulo the index and sorted, so the
-    record's field equality and hash compare values up to permutation of
-    the weights and reduction modulo the index: 1/5(-1, 3, 2) is
-    1/5(2, 3, 4).  A float or a string index raises TypeError
-    (``operator.index``).
-    """
-
-    __slots__ = ("index", "weights")
-
-    def __init__(self, index: int, weights: tuple[int, ...]):
-        index = operator.index(index)
-        if index < 1:
-            raise ValueError(f"index must be positive, got {index}")
-        weights = sorted(w % index for w in _validate_weights(weights))
-        super().__init__(index, tuple(weights))
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.index == 1
-
-    @property
-    def is_terminal(self) -> bool:
-        return is_terminal_cqs(self.weights, self.index)
-
-    def __str__(self) -> str:
-        return f"1/{self.index}({','.join(str(w) for w in self.weights)})"
-
-
-def exceptional_patch_types(blowup_weights) -> list[CyclicQuotient]:
-    """Affine-patch singularity types along the exceptional divisor.
-
-    For the blowup with positive weights (a_1,...,a_d), the patch at the
-    i-th coordinate is the quotient 1/a_i(-1, a_1, ..., â_i, ..., a_d).
-    Index-1 patches are smooth and returned as such.
-    """
-    ws = _validate_weights(blowup_weights)
-    if any(w < 1 for w in ws):
-        raise ValueError(f"blowup weights must be positive, got {list(ws)}")
-    patches = []
-    for i, wi in enumerate(ws):
-        rest = ws[:i] + ws[i + 1 :]
-        patches.append(CyclicQuotient(wi, (-1,) + rest))
-    return patches

@@ -8,7 +8,9 @@ E the exceptional divisor.  With ascending blowup weights a_1 <= ... <= a_d:
     Nef(T) = R+[H] + R+[H - a_1 E]
 
 and the movable cone splits into nef chambers at H - vE for each distinct
-weight value v.  All cone data are exact integer pairs.
+weight value v.  The tests restate these cones as exact integer pairs
+(``tests/reference.py``); the checks here are the integer inequalities
+that place -K_T in them.
 """
 
 from __future__ import annotations
@@ -21,16 +23,6 @@ from ._record import Record
 FANO = "fano"
 WEAK_NOT_FANO = "weak_not_fano"
 NOT_WEAK_FANO = "not_weak_fano"
-
-
-class DivisorClass(Record):
-    """The class h*H + e*E in Cl(T)."""
-
-    __slots__ = ("h", "e")
-
-
-H = DivisorClass(1, 0)
-E = DivisorClass(0, 1)
 
 
 class BlowupVariety(Record):
@@ -59,38 +51,6 @@ class BlowupVariety(Record):
 
     def __str__(self) -> str:
         return f"Bl({','.join(str(w) for w in self.weights)})P^{self.dim}"
-
-
-class MoriStructure(Record):
-    """Eff/Mov cones and the nef-chamber decomposition of Mov(T).
-
-    ``mov_boundary_big`` is False exactly when the two largest weights tie,
-    i.e. the upper boundary of Mov coincides with the boundary of Eff and
-    the link ends with a fibration.
-    """
-
-    __slots__ = ("eff_lo", "eff_hi", "mov_lo", "mov_hi", "nef_chambers", "mov_boundary_big")
-
-
-def anticanonical_class(T: BlowupVariety) -> DivisorClass:
-    """-K_T = (d+1)H - (sum(a_i) - 1)E."""
-    return DivisorClass(T.dim + 1, -(T.weight_sum - 1))
-
-
-def mori_structure(T: BlowupVariety) -> MoriStructure:
-    """Cone structure of T; chamber boundaries at each distinct weight value."""
-    a = T.weights
-    boundary_values = sorted(set(v for v in a if v <= T.second_largest))
-    rays = [H] + [DivisorClass(1, -v) for v in boundary_values]
-    chambers = tuple(zip(rays[:-1], rays[1:]))
-    return MoriStructure(
-        eff_lo=E,
-        eff_hi=DivisorClass(1, -a[-1]),
-        mov_lo=H,
-        mov_hi=DivisorClass(1, -T.second_largest),
-        nef_chambers=chambers,
-        mov_boundary_big=T.second_largest < a[-1],
-    )
 
 
 def antik_in_interior_mov(T: BlowupVariety) -> bool:

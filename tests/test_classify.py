@@ -1,3 +1,4 @@
+import csv
 import errno
 import importlib
 import json
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -15,17 +17,21 @@ import pytest
 
 from wblinks import (
     BlowupVariety,
+    ClassificationRun,
+    DivContraction,
+    Fibration,
+    FlipStep,
     Link,
     Rejected,
     antik_in_interior_mov,
     build_link,
     classify,
+    display_orientation,
     interior_walls,
     is_terminal_blowup,
     is_terminal_cqs,
     is_terminal_wps,
     shape_of,
-    wall_flip_weights,
 )
 from wblinks.classify import (
     MAX_BOUNDS,
@@ -34,8 +40,10 @@ from wblinks.classify import (
     worker_count,
 )
 from wblinks.link import STAGE_WALL
+from reference import mori_structure, wall_flip_weights
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
+P4_LINKS = Path(__file__).parent / "data" / "p4_links_bound39.csv"
 
 # the package's `classify` attribute is the function, so look the module up
 SCAN = importlib.import_module("wblinks.classify")
@@ -238,6 +246,54 @@ def test_dim4_122d_family_follows_from_the_wall_at_1():
     assert [ws for ws in classify(4, 40).accepted if ws[:3] == (1, 2, 2)] == accepted
 
 
+def _entries(field):
+    """The integers of one ':'-joined list of the pinned links file."""
+    return tuple(int(x) for x in field.split(":"))
+
+
+def test_dim4_links_at_bound_39_are_the_pinned_links():
+    """The whole dimension-4 answer: each quadruple's flips, in wall order, and its end.
+
+    A row of ``data/p4_links_bound39.csv`` holds the weights; the walls;
+    the flips as ``FlipStep`` stores them and in display form, ';' between
+    flips and ':' between entries; the end kind and weights; and the
+    fibration's base dimension or the divisorial contraction's centre
+    dimension and index.  Each wall and flip is also derived afresh from
+    the Cox classes (``reference.wall_flip_weights``).
+    """
+    with P4_LINKS.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [
+        "weights", "walls", "flips", "flips_display",
+        "end_kind", "end_weights", "base_dim", "center_dim", "center_index",
+    ]
+    pinned = {}
+    for ws, walls, flips, shown, kind, weights, base, center_dim, center_index in rows:
+        ws = _entries(ws)
+        T = BlowupVariety(4, ws)
+        steps = [
+            (int(v), _entries(flip), _entries(disp))
+            for v, flip, disp in zip(walls.split(";"), flips.split(";"), shown.split(";"))
+        ] if walls else []
+        chamber_walls = [-hi.e for _, hi in mori_structure(T).nef_chambers[:-1]]
+        assert [v for v, _, _ in steps] == chamber_walls, ws
+        for v, flip, disp in steps:
+            assert flip == wall_flip_weights(T, v), ws
+            assert disp == tuple(-x for x in flip) == display_orientation(flip), ws
+        if kind == "fibration":
+            assert center_dim == center_index == "", ws
+            end = Fibration(int(base), _entries(weights))
+        else:
+            assert kind == "divisorial_contraction" and base == "", ws
+            end = DivContraction(_entries(weights), int(center_dim), int(center_index))
+        pinned[ws] = Link(tuple(FlipStep(v, flip) for v, flip, _ in steps), end)
+    links = classify(4, 39).links
+    assert list(links) == list(pinned)
+    assert links == pinned
+    assert Counter(len(link.steps) for link in links.values()) == {2: 402, 1: 17, 0: 2}
+    assert Counter(type(link.end) for link in links.values()) == {DivContraction: 416, Fibration: 5}
+
+
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_drops_only_wall_rejections(dim, bound):
     kept = set(_survivors(dim, bound, 1))
@@ -330,7 +386,7 @@ def test_stable_flag_matches_two_independent_scans(two_cpus, dim, bound, jobs):
     """
     run = serial_run(dim, bound)
     stable = run.accepted == serial_run(dim, 2 * bound).accepted
-    assert classify_stable(dim, bound, jobs) == (run._replace(jobs=jobs), stable)
+    assert classify_stable(dim, bound, jobs) == (ClassificationRun(dim, bound, run.links, jobs), stable)
     assert stable == (bound >= 5 if dim == 3 else bound == 39)
     assert_no_process_left()
 
@@ -389,7 +445,7 @@ def test_scan_at_smaller_bound_is_the_larger_run_cut_to_it(dim, top, bounds):
     run = classify(dim, top)
     for bound in bounds:
         links = {ws: link for ws, link in run.links.items() if ws[-1] <= bound}
-        assert classify(dim, bound) == run._replace(bound=bound, links=links)
+        assert classify(dim, bound) == ClassificationRun(dim, bound, links, 1)
 
 
 def test_input_validation():
@@ -593,7 +649,7 @@ def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
     assert_no_process_left()
     run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
     assert run.jobs == 2 and serial.jobs == 1
-    assert run == serial._replace(jobs=2)
+    assert run == ClassificationRun(dim, bound, serial.links, 2)
     assert_no_process_left()
 
 

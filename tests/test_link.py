@@ -12,8 +12,8 @@ from wblinks import (
     display_orientation,
     is_terminal_cqs,
     is_terminal_wps,
-    wall_flip_weights,
 )
+from reference import wall_flip_weights
 
 
 def test_interior_walls():

@@ -14,17 +14,16 @@ from wblinks import (
     Link,
     antik_degree,
     antik_in_interior_mov,
-    anticanonical_class,
     build_link,
     classify,
     is_terminal_blowup,
     is_terminal_cqs,
     is_terminal_wps,
     is_weak_fano,
-    mori_structure,
     singularity_indices,
     verify_degree_inequalities,
 )
+from reference import anticanonical_class, mori_structure
 
 MANY = settings(max_examples=1000, deadline=None)
 

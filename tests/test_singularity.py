@@ -5,14 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wblinks import (
-    CyclicQuotient,
-    exceptional_patch_types,
     is_terminal_blowup,
     is_terminal_cqs,
     is_terminal_wps,
     singularity_indices,
 )
 from wblinks.singularity import _residue_sums_exceed, _residue_table
+from reference import CyclicQuotient, exceptional_patch_types
 
 
 class TestTerminalCqs:

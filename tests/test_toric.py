@@ -7,16 +7,12 @@ from wblinks import (
     NOT_WEAK_FANO,
     WEAK_NOT_FANO,
     BlowupVariety,
-    DivisorClass,
     antik_degree,
     antik_in_interior_mov,
-    anticanonical_class,
     is_weak_fano,
-    mori_structure,
     verify_degree_inequalities,
 )
-
-H = DivisorClass(1, 0)
+from reference import H, DivisorClass, anticanonical_class, mori_structure
 
 
 def test_weights_sorted_on_construction():
