@@ -15,11 +15,13 @@ from wblinks import (
     Rejected,
 )
 from wblinks._record import Record
+from reference import E, H, CyclicQuotient, DivisorClass, MoriStructure
 
 FIB = Fibration(2, (1, 1))
 LINK = Link((FlipStep(1, (-1, -1, 1, 2)),), DivContraction((1, 1, 2, 3), 0, 1))
 
-# (record, its fields by name, its repr)
+# (record, its fields by name, its repr); the package's records, then the
+# reference forms of the tests, which hold to the same contract
 RECORDS = [
     (
         BlowupVariety(3, (2, 1, 1)),
@@ -54,6 +56,26 @@ RECORDS = [
         "ClassificationRun(dim=3, bound=3, links={(1, 1, 1): Link(steps=(), "
         "end=Fibration(base_dim=2, fiber_weights=(1, 1)))}, jobs=1)",
     ),
+    (DivisorClass(1, -2), {"h": 1, "e": -2}, "DivisorClass(h=1, e=-2)"),
+    (
+        MoriStructure(E, DivisorClass(1, -2), H, DivisorClass(1, -1), ((H, DivisorClass(1, -1)),), True),
+        {
+            "eff_lo": E,
+            "eff_hi": DivisorClass(1, -2),
+            "mov_lo": H,
+            "mov_hi": DivisorClass(1, -1),
+            "nef_chambers": ((H, DivisorClass(1, -1)),),
+            "mov_boundary_big": True,
+        },
+        "MoriStructure(eff_lo=DivisorClass(h=0, e=1), eff_hi=DivisorClass(h=1, e=-2), "
+        "mov_lo=DivisorClass(h=1, e=0), mov_hi=DivisorClass(h=1, e=-1), "
+        "nef_chambers=((DivisorClass(h=1, e=0), DivisorClass(h=1, e=-1)),), mov_boundary_big=True)",
+    ),
+    (
+        CyclicQuotient(5, (-1, 3, 2)),
+        {"index": 5, "weights": (2, 3, 4)},
+        "CyclicQuotient(index=5, weights=(2, 3, 4))",
+    ),
 ]
 IDS = [type(r).__name__ for r, _, _ in RECORDS]
 
@@ -61,7 +83,15 @@ IDS = [type(r).__name__ for r, _, _ in RECORDS]
 def test_records_cover_every_record_type_of_the_package():
     # Importing wblinks imports every module of the package.
     defined = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("wblinks.")}
-    assert {type(r) for r, _, _ in RECORDS} == defined
+    covered = {type(r) for r, _, _ in RECORDS}
+    assert {cls for cls in covered if cls.__module__.startswith("wblinks.")} == defined
+    assert len(defined) == 7
+    assert covered - defined == {DivisorClass, MoriStructure, CyclicQuotient}
+
+
+def test_record_has_no_replace():
+    assert not hasattr(Record, "_replace")
+    assert not any(hasattr(r, "_replace") for r, _, _ in RECORDS)
 
 
 @pytest.mark.parametrize("record,fields,text", RECORDS, ids=IDS)
