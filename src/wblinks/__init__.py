@@ -26,7 +26,6 @@ from .toric import (
     antik_degree,
     antik_in_interior_mov,
     is_weak_fano,
-    verify_degree_inequalities,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "display_orientation",
     "shape_of",
     "singularity_indices",
-    "verify_degree_inequalities",
 ]
 
 __version__ = "0.1.0"

@@ -149,7 +149,7 @@ def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
 
 
 def _scan_partition(
-    dim: int, bound: int, heads, tables, cut: int | None = None
+    dim: int, bound: int, heads, tables, cut: int
 ) -> list[tuple[int, ...]]:
     """Candidates (*head, c, d), head in heads, c <= d <= bound, that survive.
 
@@ -169,13 +169,14 @@ def _scan_partition(
     shares no code with the packed tests.  The list is in scan order;
     ``_survivors`` sorts.
 
-    With a cut, every survivor with top weight <= cut is kept as without
-    one, and a survivor above the cut only until one is found that
-    ``build_link`` accepts, its witness: from then on the scan runs at
-    bound cut.  It skips the heads with top weight above the cut, and its
-    ranges of S and c shrink to d <= cut.  Survivors above the cut that
-    ``build_link`` rejects are kept too, so the caller decides on each
-    one; only an accepted tuple stops the search above the cut.
+    Every survivor with top weight <= cut is kept.  A survivor above the
+    cut is kept only until one is found that ``build_link`` accepts, its
+    witness: from then on the scan runs at bound cut.  It skips the heads
+    with top weight above the cut, and its ranges of S and c shrink to
+    d <= cut.  Survivors above the cut that ``build_link`` rejects are kept
+    too, so the caller decides on each one; only an accepted tuple stops
+    the search above the cut.  At cut == bound no survivor is above the
+    cut, so that is the plain scan at the bound.
     """
     out = []
     top = bound  # the scan's bound: cut once a witness is found
@@ -193,7 +194,7 @@ def _scan_partition(
                 if base + P[c] + P[S - c] & high == high:
                     ws = head + (c, S - c)
                     if _walls_terminal(ws, tables):
-                        if cut is None or S - c <= cut:
+                        if S - c <= cut:
                             out.append(ws)
                         elif top > cut:
                             out.append(ws)
@@ -202,9 +203,7 @@ def _scan_partition(
     return out
 
 
-def _survivors(
-    dim: int, bound: int, jobs: int, cut: int | None = None
-) -> list[tuple[int, ...]]:
+def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...]]:
     """The scan's survivors, sorted, from jobs processes that scan.
 
     This function owns the scan's state: it builds the heads and the tables,
@@ -223,11 +222,12 @@ def _survivors(
     yet reaped.  The parent merges the lists and sorts them once, so the
     order does not depend on the split; the tables go when it returns.
 
-    A cut (``classify_stable`` passes one) goes to every process: each
-    keeps all of its survivors with top weight <= cut, and stops looking
-    above the cut at its own first accepted one (see ``_scan_partition``).
-    So the list holds every survivor above the cut only when ``build_link``
-    accepts none of them, and each process then scans its whole share.
+    The cut goes to every process: each keeps all of its survivors with
+    top weight <= cut, and stops looking above the cut at its own first
+    accepted one (see ``_scan_partition``).  So the list holds every
+    survivor above the cut only when ``build_link`` accepts none of them,
+    and each process then scans its whole share.  A plain scan at the
+    bound passes cut == bound and has no survivor above the cut.
     """
     heads = _partitions(dim, bound)
     tables = _tables(dim, bound)
@@ -321,6 +321,7 @@ def worker_count(jobs: int, dim: int, bound: int) -> int:
 def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     """Classify all ascending weight tuples with top weight <= bound.
 
+    One scan at the bound with its cut at the bound (see ``_classify``).
     Deterministic: the accepted list is lexicographically sorted regardless
     of worker count or execution order.
 
@@ -371,11 +372,7 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """
-    _check_scan(dim, bound)
-    jobs = worker_count(jobs, dim, bound)
-    links = {ws: link for ws in _survivors(dim, bound, jobs)
-             if isinstance(link := build_link(ws, dim), Link)}
-    return ClassificationRun(dim=dim, bound=bound, links=links, jobs=jobs)
+    return _classify(dim, bound, bound, jobs)[0]
 
 
 def classify_stable(
@@ -383,21 +380,32 @@ def classify_stable(
 ) -> tuple[ClassificationRun, bool]:
     """The run at bound, and whether it accepts what the run at 2 * bound does.
 
-    One scan at 2 * bound with its cut at bound (see ``_survivors``): the
-    run keeps the links with top weight <= bound, and the flag is True iff
-    ``build_link`` accepts no survivor above the bound, that is iff no
-    tuple accepted at 2 * bound has top weight in (bound, 2 * bound].  A
-    survivor above the bound stops the search there only once
-    ``build_link`` has accepted it, so a fault in the packed tests can cost
-    time but never turn the flag.  jobs counts the processes of the scan at
-    2 * bound.  The bound is checked before twice the bound, so a bound
-    below 2 is refused as such.
+    One scan at 2 * bound with its cut at bound (see ``_classify``).  The
+    flag is True iff no tuple accepted at 2 * bound has top weight in
+    (bound, 2 * bound].  A survivor above the bound stops the search there
+    only once ``build_link`` has accepted it, so a fault in the packed
+    tests can cost time but never turn the flag.  jobs counts the
+    processes of the scan at 2 * bound.
+    """
+    return _classify(dim, bound, 2 * bound, jobs)
+
+
+def _classify(
+    dim: int, bound: int, top: int, jobs: int
+) -> tuple[ClassificationRun, bool]:
+    """One scan at top >= bound with its cut at bound: the run at bound and its flag.
+
+    The scan keeps every survivor with top weight <= bound and looks above
+    the bound only for one that ``build_link`` accepts (see
+    ``_survivors``).  The run keeps the links with top weight <= bound,
+    and the flag is True iff ``build_link`` accepts no survivor above the
+    bound.  At top == bound there is none, and the flag is True.  The
+    bound is checked before top, so a bound below 2 is refused as such.
     """
     _check_scan(dim, bound)
-    _check_scan(dim, 2 * bound)
-    jobs = worker_count(jobs, dim, 2 * bound)
-    links = {ws: link for ws in _survivors(dim, 2 * bound, jobs, cut=bound)
+    _check_scan(dim, top)
+    jobs = worker_count(jobs, dim, top)
+    links = {ws: link for ws in _survivors(dim, top, jobs, bound)
              if isinstance(link := build_link(ws, dim), Link)}
     kept = {ws: link for ws, link in links.items() if ws[-1] <= bound}
-    run = ClassificationRun(dim=dim, bound=bound, links=kept, jobs=jobs)
-    return run, len(kept) == len(links)
+    return ClassificationRun(dim, bound, kept, jobs), len(kept) == len(links)

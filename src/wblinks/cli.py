@@ -1,7 +1,8 @@
 """Command-line front end: check, link, classify, report.
 
-Every command emits a JSON document with a stable schema (version "1") and
-deterministic key order; `classify` can also emit CSV or a plain table.
+`check`, `link` and `classify` emit a JSON document with a stable schema
+(version "1") and deterministic key order; `classify` can also emit CSV or a
+plain table.  `report` is `classify` written as a Markdown table.
 Exit codes: 0 success (a rejected link is a valid answer), 2 input error,
 3 when --expect is given and the classification count differs.  An input
 error is any ValueError: the CLI raises one for its own limits
@@ -206,6 +207,41 @@ def _classify_table(run, stabilized) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_report(run) -> str:
+    """Markdown table of the run's accepted links, then a blank line."""
+    lines = [
+        f"# Sarkisov links from weighted blowups of P^{run.dim} (bound {run.bound})",
+        "",
+        "| weights | flip steps | end map | model |",
+        "| --- | --- | --- | --- |",
+    ]
+    for ws, link in run.links.items():
+        steps = "; ".join(
+            "(" + ",".join(str(x) for x in display_orientation(s.flip_weights)) + ")"
+            for s in link.steps
+        )
+        kind, target = end_summary(link.end)
+        model = f"P({','.join(map(str, target))})"
+        if run.dim == 3:
+            end_map, model_override = DIM3_END_ANNOTATIONS.get(
+                ws[-2:], (kind, None)
+            )
+            if model_override is not None:
+                model = model_override
+        else:
+            end_map = (
+                "Divisorial Contraction" if kind == "divisorial_contraction"
+                else "Fibration"
+            )
+            if kind == "fibration":
+                base = link.end.base_dim
+                model = f"{model}-fibration over P^{base}"
+        lines.append(
+            f"| ({','.join(map(str, ws))}) | {steps} | {end_map} | {model} |"
+        )
+    return "\n".join(lines) + "\n\n"
+
+
 def cmd_classify(args, out) -> int:
     started = time.perf_counter()
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
@@ -221,8 +257,10 @@ def cmd_classify(args, out) -> int:
         )
     elif args.format == "csv":
         text = _classify_csv(run)
-    else:
+    elif args.format == "table":
         text = _classify_table(run, stabilized)
+    else:
+        text = render_report(run)
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -245,50 +283,6 @@ def cmd_classify(args, out) -> int:
             f"expected {args.expect} tuples, found {len(run.links)}\n"
         )
         return 3
-    return 0
-
-
-def render_report(dim: int, bound: int, jobs: int = 1) -> str:
-    """Markdown table of all accepted links at the given bound."""
-    run = classify(dim, bound, jobs=jobs)
-    lines = [
-        f"# Sarkisov links from weighted blowups of P^{dim} (bound {bound})",
-        "",
-        "| weights | flip steps | end map | model |",
-        "| --- | --- | --- | --- |",
-    ]
-    for ws, link in run.links.items():
-        steps = "; ".join(
-            "(" + ",".join(str(x) for x in display_orientation(s.flip_weights)) + ")"
-            for s in link.steps
-        )
-        kind, target = end_summary(link.end)
-        model = f"P({','.join(map(str, target))})"
-        if dim == 3:
-            end_map, model_override = DIM3_END_ANNOTATIONS.get(
-                ws[-2:], (kind, None)
-            )
-            if model_override is not None:
-                model = model_override
-        else:
-            end_map = (
-                "Divisorial Contraction" if kind == "divisorial_contraction"
-                else "Fibration"
-            )
-            if kind == "fibration":
-                base = link.end.base_dim
-                model = f"{model}-fibration over P^{base}"
-        lines.append(
-            f"| ({','.join(map(str, ws))}) | {steps} | {end_map} | {model} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def cmd_report(args, out) -> int:
-    bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
-    out.write(render_report(args.dim, bound, jobs=args.jobs))
-    out.write("\n")
     return 0
 
 
@@ -327,7 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", parents=[scan], help="markdown summary table")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(
+        func=cmd_classify, format="report", out=None, expect=None, stabilize=False
+    )
 
     return parser
 

@@ -49,9 +49,6 @@ class BlowupVariety(Record):
     def second_largest(self) -> int:
         return self.weights[-2]
 
-    def __str__(self) -> str:
-        return f"Bl({','.join(str(w) for w in self.weights)})P^{self.dim}"
-
 
 def antik_in_interior_mov(T: BlowupVariety) -> bool:
     """True iff -K_T lies in the open interior of Mov(T).
@@ -84,21 +81,3 @@ def antik_degree(T: BlowupVariety) -> Fraction:
 
     d = T.dim
     return Fraction((d + 1) ** d) - Fraction((T.weight_sum - 1) ** d, prod(T.weights))
-
-
-def verify_degree_inequalities(T: BlowupVariety) -> bool:
-    """Check the weak-Fano degree inequalities in exact integer arithmetic.
-
-    (sum-1)/(d+1) < (prod)^(1/d) <= sum/d, the second strict unless the
-    blowup is ordinary (all weights 1).  Roots are cleared by raising both
-    sides to the d-th power.  Requires T weak Fano.
-    """
-    if is_weak_fano(T) == NOT_WEAK_FANO:
-        raise ValueError(f"{T} is not weak Fano")
-    d = T.dim
-    s = T.weight_sum
-    p = prod(T.weights)
-    first = (s - 1) ** d < (d + 1) ** d * p
-    all_ones = all(w == 1 for w in T.weights)
-    second = d**d * p < s**d or (d**d * p == s**d and all_ones)
-    return first and second

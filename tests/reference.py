@@ -10,12 +10,14 @@ test compares two independent derivations:
 - the charts 1/a_j(-1, a_i : i != j) that cover the exceptional divisor
   (the chart lemma of ``wblinks.singularity.is_terminal_blowup``);
 - the flip weights at a wall, read off the Cox coordinates as in the
-  ``wblinks.link`` module docstring, without ``link._flip_weights``.
+  ``wblinks.link`` module docstring, without ``link._flip_weights``;
+- the degree inequalities of a weak Fano T, cleared of roots.
 """
 
 import operator
+from math import prod
 
-from wblinks import BlowupVariety, is_terminal_cqs
+from wblinks import NOT_WEAK_FANO, BlowupVariety, is_terminal_cqs, is_weak_fano
 from wblinks._record import Record
 
 
@@ -123,3 +125,21 @@ def exceptional_patch_types(blowup_weights) -> list[CyclicQuotient]:
     if any(w < 1 for w in ws):
         raise ValueError(f"blowup weights must be positive, got {list(ws)}")
     return [CyclicQuotient(wi, (-1,) + ws[:i] + ws[i + 1 :]) for i, wi in enumerate(ws)]
+
+
+def verify_degree_inequalities(T: BlowupVariety) -> bool:
+    """Check the weak-Fano degree inequalities in exact integer arithmetic.
+
+    (sum-1)/(d+1) < (prod)^(1/d) <= sum/d, the second strict unless the
+    blowup is ordinary (all weights 1).  Roots are cleared by raising both
+    sides to the d-th power.  Requires T weak Fano.
+    """
+    if is_weak_fano(T) == NOT_WEAK_FANO:
+        raise ValueError(f"{T} is not weak Fano")
+    d = T.dim
+    s = T.weight_sum
+    p = prod(T.weights)
+    first = (s - 1) ** d < (d + 1) ** d * p
+    all_ones = all(w == 1 for w in T.weights)
+    second = d**d * p < s**d or (d**d * p == s**d and all_ones)
+    return first and second

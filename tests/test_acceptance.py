@@ -105,7 +105,7 @@ def test_criterion_3_golden_values():
 
 
 def test_criterion_4_table_reproduction():
-    report = render_report(3, 64)
+    report = render_report(classify(3, 64))
     rows = [line for line in report.splitlines() if line.startswith("| (")]
     assert len(rows) == 4
     expected = [

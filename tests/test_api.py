@@ -32,7 +32,6 @@ PUBLIC = {
     "is_weak_fano",
     "shape_of",
     "singularity_indices",
-    "verify_degree_inequalities",
 }
 
 
@@ -54,6 +53,7 @@ MOVED = (
     "CyclicQuotient",
     "exceptional_patch_types",
     "wall_flip_weights",
+    "verify_degree_inequalities",
 )
 SRC = Path(wblinks.__file__).parent
 

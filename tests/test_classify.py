@@ -113,7 +113,7 @@ def literal_survivors(dim, bound):
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
 def test_scan_matches_literal_criterion(dim, bound):
-    assert tuple(_survivors(dim, bound, 1)) == literal_survivors(dim, bound)
+    assert tuple(_survivors(dim, bound, 1, bound)) == literal_survivors(dim, bound)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
         return seen[-1][1]
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
-    _survivors(dim, bound, 1)
+    _survivors(dim, bound, 1, bound)
     assert len(seen) == tested
     assert tuple(sorted(ws for ws, _ in seen)) == literal_blowup_survivors(dim, bound)
     for ws, packed in seen:
@@ -296,7 +296,7 @@ def test_dim4_links_at_bound_39_are_the_pinned_links():
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_drops_only_wall_rejections(dim, bound):
-    kept = set(_survivors(dim, bound, 1))
+    kept = set(_survivors(dim, bound, 1, bound))
     dropped = [ws for ws in literal_blowup_survivors(dim, bound) if ws not in kept]
     assert dropped
     for ws in dropped:
@@ -570,7 +570,7 @@ def test_scan_builds_each_table_once(monkeypatch, dim, bound):
         return real(r, n, top)
 
     monkeypatch.setattr(SCAN, "_residue_table", record)
-    _survivors(dim, bound, 1)
+    _survivors(dim, bound, 1, bound)
     assert built == [(r, dim, bound) for r in range(2, dim * bound)]
 
 
@@ -593,7 +593,7 @@ def held_after_scan(scan):
 
 def test_blowup_tables_live_only_during_a_scan():
     """A scan's memory is back to within a quarter of its peak on return."""
-    assert held_after_scan(lambda: _survivors(4, 40, 1)) < 0.25
+    assert held_after_scan(lambda: _survivors(4, 40, 1, 40)) < 0.25
 
 
 def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
@@ -608,7 +608,7 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
 
     def failing_scan():
         with pytest.raises(RuntimeError, match="wall test failed"):
-            _survivors(4, 40, 1)
+            _survivors(4, 40, 1, 40)
 
     monkeypatch.setattr(SCAN, "_walls_terminal", fail)
     assert held_after_scan(failing_scan) < 0.25
@@ -643,9 +643,9 @@ def assert_no_process_left():
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 16)])
 def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
     """jobs - 1 children and the parent give the serial scan, sorted."""
-    scan = _survivors(dim, bound, 1)
+    scan = _survivors(dim, bound, 1, bound)
     assert scan == sorted(scan)
-    assert _survivors(dim, bound, jobs) == scan
+    assert _survivors(dim, bound, jobs, bound) == scan
     assert_no_process_left()
     run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
     assert run.jobs == 2 and serial.jobs == 1
@@ -697,7 +697,7 @@ def test_a_failed_fork_closes_its_pipe(two_cpus, monkeypatch):
     monkeypatch.setattr(os, "fork", fork_once)
     before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(OSError, match="fork refused") as exc:
-        _survivors(4, 12, 3)
+        _survivors(4, 12, 3, 12)
     assert exc.value.errno == errno.EAGAIN
     assert len(os.listdir("/proc/self/fd")) == before
     assert_no_process_left()

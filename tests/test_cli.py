@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from wblinks.classify import classify
 from wblinks.cli import main, render_report
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
@@ -25,7 +27,7 @@ def scans(monkeypatch):
     real = module._survivors
     calls = []
 
-    def record(dim, bound, jobs, cut=None):
+    def record(dim, bound, jobs, cut):
         calls.append((dim, bound, jobs, cut))
         return real(dim, bound, 1, cut)
 
@@ -348,7 +350,7 @@ class TestClassify:
     def test_default_bound_is_per_dimension(self, scans, dim, bound, total):
         code, doc = run_json(["classify", "--dim", str(dim)])
         assert code == 0
-        assert scans == [(dim, bound, 1, None)]
+        assert scans == [(dim, bound, 1, bound)]
         assert doc["inputs"]["bound"] == bound
         assert doc["result"]["total"] == total
 
@@ -358,8 +360,9 @@ class TestClassify:
         assert code == 0
         assert doc["inputs"]["jobs"] == 1
 
-    def test_bad_jobs_exits_2(self, capsys):
-        code, text = run_cli(["classify", "--dim", "3", "--bound", "8", "--jobs", "-3"])
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_bad_jobs_exits_2(self, capsys, command):
+        code, text = run_cli([command, "--dim", "3", "--bound", "8", "--jobs", "-3"])
         assert code == 2
         assert text == ""
         assert "jobs must be an integer >= 1" in capsys.readouterr().err
@@ -371,27 +374,35 @@ class TestClassify:
         assert "(1,2,5)" in text
 
 
+# `wblinks report --dim 3 --bound 64`, byte for byte.
+DIM3_REPORT = """\
+# Sarkisov links from weighted blowups of P^3 (bound 64)
+
+| weights | flip steps | end map | model |
+| --- | --- | --- | --- |
+| (1,1,1) |  | Fibration | P^1-bundle over P^2 |
+| (1,1,2) |  | Divisorial Contraction to P^1 | P(1,1,1,2) |
+| (1,2,3) | (1,1,-1,-2) | (1,1,2)-Weighted blowup of a smooth point | P(1,1,2,3) |
+| (1,2,5) | (1,1,-1,-4) | Kawamata blowup of 1/3(1,1,2) | P(1,3,4,5) |
+
+"""
+
+# SHA-256 of `wblinks report --dim 4 --bound 39`, at any --jobs.
+DIM4_REPORT_SHA256 = "7365882f6db872c3787293c6f863a54db70f192581cbb3224e37fd58b96a99ed"
+
+
 class TestReport:
     def test_dim3_summary_table(self):
         code, text = run_cli(["report", "--dim", "3", "--bound", "64"])
         assert code == 0
-        assert "| (1,1,1) |  | Fibration | P^1-bundle over P^2 |" in text
-        assert "| (1,1,2) |  | Divisorial Contraction to P^1 | P(1,1,1,2) |" in text
-        assert (
-            "| (1,2,3) | (1,1,-1,-2) | (1,1,2)-Weighted blowup of a smooth point "
-            "| P(1,1,2,3) |" in text
-        )
-        assert (
-            "| (1,2,5) | (1,1,-1,-4) | Kawamata blowup of 1/3(1,1,2) "
-            "| P(1,3,4,5) |" in text
-        )
+        assert text == DIM3_REPORT
 
     def test_dim4_bound39_models_match_pinned_csv(self):
         pinned = Path(__file__).parent / "data" / "p4_bound39.csv"
         with pinned.open(newline="") as fh:
             expected = list(csv.reader(fh))[1:]
         rows = [
-            line for line in render_report(4, 39).splitlines()
+            line for line in render_report(classify(4, 39)).splitlines()
             if line.startswith("| (")
         ]
         assert len(rows) == len(expected) == 421
@@ -406,14 +417,16 @@ class TestReport:
                 assert (end_map, model) == ("Divisorial Contraction", target)
 
     @pytest.mark.parametrize("dim, bound", [(3, 64), (4, 39)])
-    def test_default_bound_is_per_dimension(self, monkeypatch, dim, bound):
-        calls = []
-        monkeypatch.setattr(
-            "wblinks.cli.render_report", lambda *args, **kw: calls.append(args) or ""
-        )
+    def test_default_bound_is_per_dimension(self, scans, dim, bound):
         code, _ = run_cli(["report", "--dim", str(dim)])
         assert code == 0
-        assert calls == [(dim, bound)]
+        assert scans == [(dim, bound, 1, bound)]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dim4_bound39_report_is_pinned(self, jobs):
+        code, text = run_cli(["report", "--dim", "4", "--bound", "39", "--jobs", jobs])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == DIM4_REPORT_SHA256
 
     def test_over_budget_exits_2(self, capsys):
         code, text = run_cli(["report", "--dim", "4", "--bound", "256"])

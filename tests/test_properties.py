@@ -21,9 +21,8 @@ from wblinks import (
     is_terminal_wps,
     is_weak_fano,
     singularity_indices,
-    verify_degree_inequalities,
 )
-from reference import anticanonical_class, mori_structure
+from reference import anticanonical_class, mori_structure, verify_degree_inequalities
 
 MANY = settings(max_examples=1000, deadline=None)
 

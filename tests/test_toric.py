@@ -10,9 +10,14 @@ from wblinks import (
     antik_degree,
     antik_in_interior_mov,
     is_weak_fano,
+)
+from reference import (
+    H,
+    DivisorClass,
+    anticanonical_class,
+    mori_structure,
     verify_degree_inequalities,
 )
-from reference import H, DivisorClass, anticanonical_class, mori_structure
 
 
 def test_weights_sorted_on_construction():
