@@ -53,9 +53,10 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # candidates and 32 MiB of blowup tables admitted: dimension 4 has
 # 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
 # blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
-# Measured in process with Python 3.11, the scan's tables (``_tables``)
-# hold 33.7 MiB as Python objects in a dimension-3 scan at 170, and
-# 28.0 MiB in dimension 4 at 130; those scans peak at 50.5 MB and 46.4 MB.
+# Measured in process with Python 3.11, the scan's tables (built in
+# ``_survivors``) hold 33.7 MiB as Python objects in a dimension-3 scan at
+# 170, and 28.0 MiB in dimension 4 at 130; those scans peak at 50.5 MB and
+# 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
@@ -98,24 +99,6 @@ def shape_of(weights: tuple[int, ...]) -> str:
 def _partitions(dim: int, bound: int):
     """Ascending heads: the dim - 2 smallest weights of a candidate."""
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
-
-
-# The scan's packed tables: ``tables[r]`` is ``_residue_table(r, dim,
-# bound)`` for every index r = 2, ..., dim * bound - 1 (0 and 1 are unused).
-# The blowup test reads ``tables[sum(head) + S - 1]`` once per head and
-# S = c + d, which runs up to dim * bound - 1, where every weight is the
-# bound; the wall test reads ``tables[e]`` at each flip entry e > 1, at most
-# bound - 1, and the bound's rows hold every residue mod e.  The blowup test
-# sums dim terms and a flip has at most dim + 1 nonzero ones, and a table
-# for n terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
-# every index in that range, so ``_survivors`` builds the list once, before
-# it forks, and holds it only while it scans.  It takes about 7 * B**3 bytes
-# at bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
-# B = 40 and 6.1 MiB at B = 78.
-def _tables(dim: int, bound: int) -> list[tuple[list[int], int, int] | None]:
-    return [None, None] + [
-        _residue_table(r, dim, bound) for r in range(2, dim * bound)
-    ]
 
 
 def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
@@ -230,7 +213,22 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...
     bound passes cut == bound and has no survivor above the cut.
     """
     heads = _partitions(dim, bound)
-    tables = _tables(dim, bound)
+    # The packed tables: ``tables[r]`` is ``_residue_table(r, dim, bound)``
+    # for every index r = 2, ..., dim * bound - 1 (0 and 1 are unused).  The
+    # blowup test reads ``tables[sum(head) + S - 1]`` once per head and
+    # S = c + d, which runs up to dim * bound - 1, where every weight is the
+    # bound; the wall test reads ``tables[e]`` at each flip entry e > 1, at
+    # most bound - 1, and the bound's rows hold every residue mod e.  The
+    # blowup test sums dim terms and a flip has at most dim + 1 nonzero
+    # ones, and a table for n terms is exact on n + 1 (see
+    # ``_residue_table``).  A full scan meets every index in that range, so
+    # the list is built once, before the fork, and held only while the
+    # scan runs.  It takes about 7 * B**3 bytes at bound B in dimension 3
+    # and 13.5 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.1 MiB at
+    # B = 78.
+    tables = [None, None] + [
+        _residue_table(r, dim, bound) for r in range(2, dim * bound)
+    ]
     pending = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
         for i in range(1, jobs):

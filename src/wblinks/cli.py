@@ -84,10 +84,6 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_json(doc: dict, out) -> None:
-    out.write(_json(doc))
-
-
 def _wformat(ws) -> str:
     return ":".join(str(w) for w in ws)
 
@@ -119,7 +115,7 @@ def cmd_check(args, out) -> int:
             result["blowup_terminal"] = is_terminal_blowup(weights)
             result["weak_fano"] = is_weak_fano(T)
             result["antik_degree"] = str(antik_degree(T))
-    _emit_json(_record("check", inputs, result, started), out)
+    out.write(_json(_record("check", inputs, result, started)))
     return 0
 
 
@@ -151,7 +147,7 @@ def cmd_link(args, out) -> int:
     inputs = {"weights": list(weights), "dim": args.dim}
     result = _serialize_link(build_link(weights, args.dim))
     result["weights_sorted"] = sorted(weights)
-    _emit_json(_record("link", inputs, result, started), out)
+    out.write(_json(_record("link", inputs, result, started)))
     return 0
 
 
@@ -267,15 +263,9 @@ def cmd_classify(args, out) -> int:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
-        _emit_json(
-            _record(
-                "classify",
-                inputs,
-                {"written": args.out, "total": len(run.links)},
-                started,
-            ),
-            out,
-        )
+        out.write(_json(_record(
+            "classify", inputs, {"written": args.out, "total": len(run.links)}, started
+        )))
     else:
         out.write(text)
     if args.expect is not None and len(run.links) != args.expect:
@@ -299,7 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
         f"default: {DEFAULT_BOUNDS[3]} in dim 3, {DEFAULT_BOUNDS[4]} in dim 4; "
         f"at most {MAX_BOUNDS[3]} and {MAX_BOUNDS[4]}"
     ))
-    scan.add_argument("--jobs", type=int, default=1)
+    scan.add_argument("--jobs", type=int, default=1, help=(
+        "processes that scan (default: 1), capped by the usable CPUs and by the "
+        "number of heads, and 1 where the platform has no fork"
+    ))
 
     p = sub.add_parser("check", help="terminality checks on one weight list")
     p.add_argument("-w", "--weights", required=True, help="comma-separated integers (use --weights=-1,2,3 for negatives)")

@@ -497,6 +497,17 @@ def test_bound_help_shows_default_and_largest_bounds(command, capsys, monkeypatc
     assert "default: 11 in dim 3, 12 in dim 4; at most 13 and 14" in text
 
 
+@pytest.mark.parametrize("command", ["classify", "report"])
+def test_jobs_help_shows_default_and_caps(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "--jobs JOBS processes that scan (default: 1), capped by the usable CPUs "
+        "and by the number of heads, and 1 where the platform has no fork"
+    ) in text
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--dim", "3", "--frobnicate"])
