@@ -21,7 +21,9 @@ the interior, blowup or wall stage, and every survivor is re-run through
 those three stages, which are the whole of acceptance (a divisorial end's
 target is terminal by the proof in ``wblinks.link``).  The scan's blowup
 and wall tests are packed: both sum rows of the one ``_residue_table`` of
-each index and test every k of the residue-sum criterion with one mask.
+each index and test every k of the residue-sum criterion with one mask;
+the row rule and the per-head wall sums of ``_scan_partition`` are parts
+of those same tests.
 ``build_link`` re-checks the blowup and every wall with the scalar
 residue-sum loop, which shares no code with the packed test; both test
 each flip at its own entries > 1 (see ``is_terminal_wps``).  So a scan bug
@@ -101,7 +103,7 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
-def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
+def _walls_terminal(ws: tuple[int, ...], tables, sums) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
     This is ``is_terminal_wps``'s rule, packed, on each flip: for each
@@ -110,17 +112,32 @@ def _walls_terminal(ws: tuple[int, ...], tables) -> bool:
     zeros, plus one more zero from w = v; a zero adds the row P[0] = 0 and
     is no entry > 1.  That leaves at most dim + 1 nonzero terms, summed at
     each entry e > 1 on the rows of ``tables[e]``.
+
+    sums is None, or the head's own entries summed once per head by
+    ``_scan_partition``.  An entry e = a - v > 1 of the wall at v, for head
+    weights v < a, depends only on the head, and so do all its terms but
+    c - v and d - v, where (c, d) = ws[-2:].  sums holds one (v, e, P, x,
+    high) for each such (v, e): P and high from ``tables[e]``, and x the
+    offset plus the rows of -1, -v and w - v for each head weight w.  Each
+    is tested with the rows of c - v and d - v, before any flip is built;
+    the flips are then tested only at their entries c - v and d - v.
+    With None each flip is tested at all of its entries, which decides the
+    same.
     """
-    top = ws[-2]
+    c, d = ws[-2:]
+    if sums is not None:
+        for v, e, P, x, high in sums:
+            if x + P[(c - v) % e] + P[(d - v) % e] & high != high:
+                return False
     last = 0
     for v in ws[:-2]:
-        if v >= top:
+        if v >= c:
             break
         if v == last:
             continue
         last = v
         terms = [w - v for w in ws] + [-1, -v]
-        for e in terms:
+        for e in terms if sums is None else (c - v, d - v):
             if e > 1:
                 P, K, high = tables[e]
                 x = K
@@ -152,6 +169,22 @@ def _scan_partition(
     shares no code with the packed tests.  The list is in scan order;
     ``_survivors`` sorts.
 
+    Two necessary conditions of those tests act once per row or head, not
+    per candidate.  The row rule is the criterion at k = V/2 for an even
+    V: a weight has residue V/2 there if it is odd and 0 if it is even, so
+    s(V/2) = (V/2) * (number of odd weights), which exceeds V only with
+    three or more odd weights.  With o odd head weights, V is even iff
+    o + S is odd.  So a head with o = 0 skips every odd S, where c and d
+    hold one odd weight; a head with o = 1 takes only odd c at an even S,
+    so that c and d = S - c are both odd; and o >= 2 always has three.  The
+    rule drops a row before its table is fetched, or steps c by 2.  The
+    wall sums: the flip at a wall v has the entry e = a - v > 1 for each
+    head weight a > v + 1 (b - a at the wall a in dimension 4), and that
+    entry and every term of the flip but c - v and d - v depend only on
+    the head.  Each head sums those rows once, and ``_walls_terminal``
+    tests the sums first, with two row lookups.  Neither rule tests
+    anything per candidate, and neither changes the survivors.
+
     Every survivor with top weight <= cut is kept.  A survivor above the
     cut is kept only until one is found that ``build_link`` accepts, its
     witness: from then on the scan runs at bound cut.  It skips the heads
@@ -167,16 +200,28 @@ def _scan_partition(
         if head[-1] > top:
             continue
         h = sum(head)
-        for S in range(2 * head[-1], 2 * top + 1):
+        odd = sum(a & 1 for a in head)
+        sums = []
+        for v, e in sorted({(v, a - v) for v in head for a in head if a - v > 1}):
+            P, K, high = tables[e]
+            x = K + P[e - 1] + P[-v % e]
+            for w in head:
+                x += P[(w - v) % e]
+            sums.append((v, e, P, x, high))
+        for S in range(2 * head[-1], 2 * top + 1, 1 + (odd == 0)):
             P, K, high = tables[h + S - 1]
             base = K
             for a in head:
                 base += P[a]
             low = max(head[-1], S - top, -(-(S + h) // (dim + 1)))
-            for c in range(low, S // 2 + 1):
+            step = 1
+            if odd == 1 and not S & 1:
+                low |= 1
+                step = 2
+            for c in range(low, S // 2 + 1, step):
                 if base + P[c] + P[S - c] & high == high:
                     ws = head + (c, S - c)
-                    if _walls_terminal(ws, tables):
+                    if _walls_terminal(ws, tables, sums):
                         if S - c <= cut:
                             out.append(ws)
                         elif top > cut:
@@ -363,6 +408,19 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       (V = 6: the residue sum at k = 3 is 3) or at d = 4 (V = 8: the
       residue sum at k = 4 is 4).  That leaves (1, 2, 2, 3) and
       (1, 2, 2, 5), and ``build_link`` accepts both.
+
+    A blowup-terminal (a, b, c, c) with 2 <= a < b < c has c = a + b:
+
+    - By the chart lemma (see ``is_terminal_blowup``) its chart at c,
+      1/c(-1, a, b, c) = 1/c(-1, a, b, 0), is terminal.  The entry 0 adds
+      nothing to any residue sum, so that chart is 1/c(-1, a, b) times a
+      line, and 1/c(-1, a, b) is terminal.
+    - By the terminal lemma two of -1, a and b sum to 0 mod c.
+    - 1 <= a - 1 < b - 1 < c, so neither -1 + a nor -1 + b is 0 mod c.
+      So a + b is, and 0 < a + b < 2c gives a + b = c.
+
+    To top weight 40 that leaves (2, 3, 5, 5) and (3, 5, 8, 8), and
+    ``build_link`` rejects the second at its wall at 3.
 
     The rest of the dimension-4 answer, 421 quadruples with top weight
     <= 39 in all, is computed, not proved: the other repeated-weight shapes

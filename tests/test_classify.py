@@ -40,7 +40,7 @@ from wblinks.classify import (
     worker_count,
 )
 from wblinks.link import STAGE_WALL
-from reference import mori_structure, wall_flip_weights
+from reference import CyclicQuotient, exceptional_patch_types, mori_structure, wall_flip_weights
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 P4_LINKS = Path(__file__).parent / "data" / "p4_links_bound39.csv"
@@ -132,8 +132,8 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     real = SCAN._walls_terminal
     seen = []
 
-    def record(ws, tables):
-        seen.append((ws, real(ws, tables)))
+    def record(ws, tables, sums):
+        seen.append((ws, real(ws, tables, sums)))
         return seen[-1][1]
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
@@ -144,6 +144,69 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
         assert packed == scalar, ws
+
+
+@pytest.mark.parametrize("dim,bound,dropped", [(3, 40, 3522), (4, 24, 4161), (5, 10, 341)])
+def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch, dim, bound, dropped):
+    """The scan skips the interior candidates with an even blowup index V
+    and fewer than three odd weights, and each of them fails at k = V/2.
+
+    With every blowup table's mask set to 0 the packed blowup test passes
+    every candidate, so the wall test sees each candidate the scan tests.
+    """
+    tested = []
+
+    def record(ws, tables, sums):
+        tested.append(ws)
+        return False
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    tables = [None, None] + [
+        (P, K, 0) for P, K, _ in (SCAN._residue_table(r, dim, bound) for r in range(2, dim * bound))
+    ]
+    SCAN._scan_partition(dim, bound, SCAN._partitions(dim, bound), tables, bound)
+    interior = [
+        ws for ws in combinations_with_replacement(range(1, bound + 1), dim)
+        if (dim + 1) * ws[-2] > sum(ws) - 1
+    ]
+    skipped = [ws for ws in interior if (sum(ws) - 1) % 2 == 0 and sum(w % 2 for w in ws) < 3]
+    assert len(skipped) == dropped
+    assert sorted(tested) == sorted(set(interior) - set(skipped))
+    for ws in skipped:
+        V = sum(ws) - 1
+        assert sum(V // 2 * w % V for w in ws) <= V, ws
+    monkeypatch.undo()
+    assert tuple(_survivors(dim, bound, 1, bound)) == literal_survivors(dim, bound)
+
+
+@pytest.mark.parametrize(
+    "dim,bound,tested,at_head", [(3, 40, 326, 0), (4, 40, 11529, 5180), (5, 12, 2289, 336)]
+)
+def test_head_sums_decide_the_walls_as_the_full_flips_do(monkeypatch, dim, bound, tested, at_head):
+    """``_walls_terminal`` answers each blowup survivor the same with the
+    per-head sums as with None, which tests each flip at all its entries.
+
+    The sums hold one entry a - v > 1 for each pair v < a of head weights,
+    and at_head survivors are rejected by the sums alone (dimension 3 has
+    no such pair).
+    """
+    real, seen = SCAN._walls_terminal, []
+
+    def record(ws, tables, sums):
+        c, d = ws[-2:]
+        early = any(x + P[(c - v) % e] + P[(d - v) % e] & high != high for v, e, P, x, high in sums)
+        pairs = {(v, e) for v, e, *_ in sums}
+        seen.append((ws, real(ws, tables, sums), real(ws, tables, None), early, pairs))
+        return seen[-1][1]
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    _survivors(dim, bound, 1, bound)
+    assert len(seen) == tested
+    for ws, answer, full, early, pairs in seen:
+        assert answer == full, ws
+        assert pairs == {(v, a - v) for v, a in combinations(ws[:-2], 2) if a - v > 1}, ws
+        assert not (early and answer), ws
+    assert sum(early for *_, early, _ in seen) == at_head
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
@@ -244,6 +307,28 @@ def test_dim4_122d_family_follows_from_the_wall_at_1():
     accepted = [(1, 2, 2, 3), (1, 2, 2, 5)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
     assert [ws for ws in classify(4, 40).accepted if ws[:3] == (1, 2, 2)] == accepted
+
+
+def test_dim4_abcc_shape_follows_from_the_chart_at_c():
+    """Each step of the (a, b, c, c) argument in the ``classify`` docstring."""
+    family = [(a, b, c, c) for c in range(4, 41) for b in range(3, c) for a in range(2, b)]
+    charts, terminal = [], []
+    for ws in family:
+        a, b, c, _ = ws
+        chart = exceptional_patch_types(ws)[2]
+        assert chart == CyclicQuotient(c, (-1, a, b, 0))
+        assert chart.is_terminal == is_terminal_cqs((-1, a, b), c)
+        assert (a - 1) % c and (b - 1) % c
+        if chart.is_terminal:
+            assert [(x, y) for x, y in combinations((-1, a, b), 2) if (x + y) % c == 0] == [(a, b)]
+            assert a + b == c, ws
+            charts.append(ws)
+        if is_terminal_blowup(ws):
+            assert chart.is_terminal, ws
+            terminal.append(ws)
+    assert len(charts) == 206
+    assert terminal == [(2, 3, 5, 5), (3, 5, 8, 8)]
+    assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] and ws[2] == ws[3]] == [(2, 3, 5, 5)]
 
 
 def _entries(field):
@@ -426,9 +511,9 @@ def test_stabilize_scans_a_fraction_of_the_walls_above_an_unstable_bound(monkeyp
     """
     real, calls = SCAN._walls_terminal, []
 
-    def record(ws, tables):
+    def record(ws, tables, sums):
         calls.append(ws)
-        return real(ws, tables)
+        return real(ws, tables, sums)
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     classify(4, 32)
@@ -603,7 +688,7 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
     is dropped.
     """
 
-    def fail(ws, tables):
+    def fail(ws, tables, sums):
         raise RuntimeError("wall test failed")
 
     def failing_scan():
