@@ -182,8 +182,9 @@ def _scan_partition(
     head weight a > v + 1 (b - a at the wall a in dimension 4), and that
     entry and every term of the flip but c - v and d - v depend only on
     the head.  Each head sums those rows once, and ``_walls_terminal``
-    tests the sums first, with two row lookups.  Neither rule tests
-    anything per candidate, and neither changes the survivors.
+    tests the sums first, with two row lookups per blowup survivor.  The
+    row rule adds no test per candidate, and neither rule changes the
+    survivors.
 
     Every survivor with top weight <= cut is kept.  A survivor above the
     cut is kept only until one is found that ``build_link`` accepts, its

@@ -117,33 +117,43 @@ def test_scan_matches_literal_criterion(dim, bound):
 
 
 @pytest.mark.parametrize(
-    "dim,bound,tested", [(3, 40, 326), (4, 40, 11529), (5, 12, 2289)]
+    "dim,bound,tested,at_head", [(3, 40, 326, 0), (4, 40, 11529, 5180), (5, 12, 2289, 336)]
 )
 def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
-    monkeypatch, dim, bound, tested
+    monkeypatch, dim, bound, tested, at_head
 ):
     """The scan's packed wall test against ``is_terminal_wps`` on each flip.
 
     The scan hands the wall test exactly its blowup survivors, each once:
     the literal ones, so a wrong range of c or d fails here even where the
     walls would hide it.  Each packed answer is recorded during the scan
-    and compared with the scalar one after it.
+    and compared with the scalar one after it.  It is also the answer with
+    None for the per-head sums, which tests each flip at all its entries;
+    the sums hold one entry a - v > 1 for each pair v < a of head weights,
+    and at_head survivors are rejected by the sums alone (dimension 3 has
+    no such pair).
     """
     real = SCAN._walls_terminal
     seen = []
 
     def record(ws, tables, sums):
-        seen.append((ws, real(ws, tables, sums)))
+        c, d = ws[-2:]
+        early = any(x + P[(c - v) % e] + P[(d - v) % e] & high != high for v, e, P, x, high in sums)
+        pairs = {(v, e) for v, e, *_ in sums}
+        seen.append((ws, real(ws, tables, sums), real(ws, tables, None), early, pairs))
         return seen[-1][1]
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     _survivors(dim, bound, 1, bound)
     assert len(seen) == tested
-    assert tuple(sorted(ws for ws, _ in seen)) == literal_blowup_survivors(dim, bound)
-    for ws, packed in seen:
+    assert tuple(sorted(ws for ws, *_ in seen)) == literal_blowup_survivors(dim, bound)
+    for ws, packed, full, early, pairs in seen:
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
-        assert packed == scalar, ws
+        assert packed == full == scalar, ws
+        assert pairs == {(v, a - v) for v, a in combinations(ws[:-2], 2) if a - v > 1}, ws
+        assert not (early and packed), ws
+    assert sum(early for *_, early, _ in seen) == at_head
 
 
 @pytest.mark.parametrize("dim,bound,dropped", [(3, 40, 3522), (4, 24, 4161), (5, 10, 341)])
@@ -175,38 +185,6 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
     for ws in skipped:
         V = sum(ws) - 1
         assert sum(V // 2 * w % V for w in ws) <= V, ws
-    monkeypatch.undo()
-    assert tuple(_survivors(dim, bound, 1, bound)) == literal_survivors(dim, bound)
-
-
-@pytest.mark.parametrize(
-    "dim,bound,tested,at_head", [(3, 40, 326, 0), (4, 40, 11529, 5180), (5, 12, 2289, 336)]
-)
-def test_head_sums_decide_the_walls_as_the_full_flips_do(monkeypatch, dim, bound, tested, at_head):
-    """``_walls_terminal`` answers each blowup survivor the same with the
-    per-head sums as with None, which tests each flip at all its entries.
-
-    The sums hold one entry a - v > 1 for each pair v < a of head weights,
-    and at_head survivors are rejected by the sums alone (dimension 3 has
-    no such pair).
-    """
-    real, seen = SCAN._walls_terminal, []
-
-    def record(ws, tables, sums):
-        c, d = ws[-2:]
-        early = any(x + P[(c - v) % e] + P[(d - v) % e] & high != high for v, e, P, x, high in sums)
-        pairs = {(v, e) for v, e, *_ in sums}
-        seen.append((ws, real(ws, tables, sums), real(ws, tables, None), early, pairs))
-        return seen[-1][1]
-
-    monkeypatch.setattr(SCAN, "_walls_terminal", record)
-    _survivors(dim, bound, 1, bound)
-    assert len(seen) == tested
-    for ws, answer, full, early, pairs in seen:
-        assert answer == full, ws
-        assert pairs == {(v, a - v) for v, a in combinations(ws[:-2], 2) if a - v > 1}, ws
-        assert not (early and answer), ws
-    assert sum(early for *_, early, _ in seen) == at_head
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
