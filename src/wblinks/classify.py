@@ -113,22 +113,20 @@ def _walls_terminal(ws: tuple[int, ...], tables, sums) -> bool:
     is no entry > 1.  That leaves at most dim + 1 nonzero terms, summed at
     each entry e > 1 on the rows of ``tables[e]``.
 
-    sums is None, or the head's own entries summed once per head by
-    ``_scan_partition``.  An entry e = a - v > 1 of the wall at v, for head
-    weights v < a, depends only on the head, and so do all its terms but
-    c - v and d - v, where (c, d) = ws[-2:].  sums holds one (v, e, P, x,
-    high) for each such (v, e): P and high from ``tables[e]``, and x the
+    The entries > 1 of the flip at v are a - v for head weights a > v + 1,
+    and c - v and d - v, where (c, d) = ws[-2:].  An entry a - v, and every
+    term of the flip but c - v and d - v, depends only on the head, so
+    sums, built once per head by ``_scan_partition``, holds one (v, e, P,
+    x, high) for each such entry: P and high from ``tables[e]``, and x the
     offset plus the rows of -1, -v and w - v for each head weight w.  Each
     is tested with the rows of c - v and d - v, before any flip is built;
-    the flips are then tested only at their entries c - v and d - v.
-    With None each flip is tested at all of its entries, which decides the
-    same.
+    then each flip is tested at its entries c - v and d - v.  Together
+    that is every entry > 1 of every flip, once.
     """
     c, d = ws[-2:]
-    if sums is not None:
-        for v, e, P, x, high in sums:
-            if x + P[(c - v) % e] + P[(d - v) % e] & high != high:
-                return False
+    for v, e, P, x, high in sums:
+        if x + P[(c - v) % e] + P[(d - v) % e] & high != high:
+            return False
     last = 0
     for v in ws[:-2]:
         if v >= c:
@@ -137,7 +135,7 @@ def _walls_terminal(ws: tuple[int, ...], tables, sums) -> bool:
             continue
         last = v
         terms = [w - v for w in ws] + [-1, -v]
-        for e in terms if sums is None else (c - v, d - v):
+        for e in (c - v, d - v):
             if e > 1:
                 P, K, high = tables[e]
                 x = K
@@ -169,11 +167,11 @@ def _scan_partition(
     shares no code with the packed tests.  The list is in scan order;
     ``_survivors`` sorts.
 
-    Two necessary conditions of those tests act once per row or head, not
-    per candidate.  The row rule is the criterion at k = V/2 for an even
-    V: a weight has residue V/2 there if it is odd and 0 if it is even, so
-    s(V/2) = (V/2) * (number of odd weights), which exceeds V only with
-    three or more odd weights.  With o odd head weights, V is even iff
+    Two parts of those tests act once per row or head, not per candidate.
+    The row rule is the criterion at k = V/2 for an even V: a weight has
+    residue V/2 there if it is odd and 0 if it is even, so s(V/2) =
+    (V/2) * (number of odd weights), which exceeds V only with three or
+    more odd weights.  With o odd head weights, V is even iff
     o + S is odd.  So a head with o = 0 skips every odd S, where c and d
     hold one odd weight; a head with o = 1 takes only odd c at an even S,
     so that c and d = S - c are both odd; and o >= 2 always has three.  The
@@ -182,9 +180,10 @@ def _scan_partition(
     head weight a > v + 1 (b - a at the wall a in dimension 4), and that
     entry and every term of the flip but c - v and d - v depend only on
     the head.  Each head sums those rows once, and ``_walls_terminal``
-    tests the sums first, with two row lookups per blowup survivor.  The
-    row rule adds no test per candidate, and neither rule changes the
-    survivors.
+    tests the sums first, with two row lookups per blowup survivor, and
+    then each flip at its entries c - v and d - v; the wall test has no
+    other path.  The row rule adds no test per candidate, and neither
+    rule changes the survivors.
 
     Every survivor with top weight <= cut is kept.  A survivor above the
     cut is kept only until one is found that ``build_link`` accepts, its
@@ -420,12 +419,28 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
     - 1 <= a - 1 < b - 1 < c, so neither -1 + a nor -1 + b is 0 mod c.
       So a + b is, and 0 < a + b < 2c gives a + b = c.
 
-    To top weight 40 that leaves (2, 3, 5, 5) and (3, 5, 8, 8), and
-    ``build_link`` rejects the second at its wall at 3.
+    So the shape is blowup-terminal only at (2, 3, 5, 5) and (3, 5, 8, 8),
+    at every bound, and only the first is accepted:
+
+    - The chart at b is 1/b(-1, a, c, c) = 1/b(-1, a, a, a), since
+      c = a + b.
+    - If g = gcd(a, b) > 1, at k = b/g the residues are b - k, 0, 0 and
+      0, which sum to b - b/g < b, so the chart is not terminal.
+      Otherwise let k = 1/a mod b, so 1 <= k < b.  The residues are
+      b - k, 1, 1 and 1, so k <= 2.  k = 1 would make a = 1 mod b, which
+      2 <= a < b rules out.  So 2a = 1 mod b, and 4 <= 2a < 2b gives
+      2a = b + 1: b = 2a - 1.
+    - The chart at a is then 1/a(-1, 2a - 1, 3a - 1, 3a - 1) =
+      1/a(-1, -1, -1, -1).  At k = a - 1 each residue is 1, and their sum
+      4 exceeds a only if a <= 3.  a = 2 and a = 3 give (2, 3, 5, 5) and
+      (3, 5, 8, 8), and both blowups are terminal.
+    - ``build_link`` rejects (3, 5, 8, 8) at its wall at 3, whose flip
+      (-3, -1, 2, 5, 5) at the entry 5 has residues 1, 2, 1, 0 and 0 at
+      k = 3, which sum to 4 <= 5.  It accepts (2, 3, 5, 5).
 
     The rest of the dimension-4 answer, 421 quadruples with top weight
     <= 39 in all, is computed, not proved: the other repeated-weight shapes
-    (13 quadruples) and the 399 strictly increasing ones.  CI checks that
+    (12 quadruples) and the 399 strictly increasing ones.  CI checks that
     it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """

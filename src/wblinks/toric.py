@@ -63,7 +63,19 @@ def is_weak_fano(T: BlowupVariety) -> str:
     """Classify -K_T: 'fano', 'weak_not_fano' (nef, not ample), or 'not_weak_fano'.
 
     T is weak Fano iff sum(a_i) - 1 <= (d+1) * min(a_i), with equality iff
-    -K_T is nef but not ample.
+    -K_T is nef but not ample.  Proof, with a_1 = min(a_i):
+
+    - -K_T = (d+1)H - (sum(a_i) - 1)E and Nef(T) = R+[H] + R+[H - a_1 E].
+      In that basis -K_T = (d+1 - y)H + y(H - a_1 E) with
+      y = (sum(a_i) - 1) / a_1 > 0.  So -K_T is nef iff y <= d+1, that is
+      sum(a_i) - 1 <= (d+1) * a_1, and ample (in the interior) iff the
+      inequality is strict.
+    - Nef implies big.  (-K_T)^d = (d+1)^d - (sum(a_i) - 1)^d / prod(a_i)
+      (``antik_degree``), and when -K_T is nef
+      (sum(a_i) - 1)^d <= ((d+1) * a_1)^d <= (d+1)^d * prod(a_i), since
+      a_1^d <= prod(a_i).  Both are equalities only if every a_i = a_1 and
+      d * a_1 - 1 = (d+1) * a_1, which cannot be.  So (-K_T)^d > 0, and a
+      nef divisor of positive top degree is big.
     """
     lhs = T.weight_sum - 1
     rhs = (T.dim + 1) * T.weights[0]

@@ -11,13 +11,26 @@ test compares two independent derivations:
   (the chart lemma of ``wblinks.singularity.is_terminal_blowup``);
 - the flip weights at a wall, read off the Cox coordinates as in the
   ``wblinks.link`` module docstring, without ``link._flip_weights``;
-- the degree inequalities of a weak Fano T, cleared of roots.
+- the degree inequalities of a weak Fano T, cleared of roots;
+- the packed wall test at every entry > 1 of every flip, without the
+  per-head sums that the scan's one wall test (``_walls_terminal``)
+  splits off;
+- the unpruned enumerator, which runs ``build_link`` on every ascending
+  tuple, without the scan.
 """
 
 import operator
+from itertools import combinations_with_replacement
 from math import prod
 
-from wblinks import NOT_WEAK_FANO, BlowupVariety, is_terminal_cqs, is_weak_fano
+from wblinks import (
+    NOT_WEAK_FANO,
+    BlowupVariety,
+    Link,
+    build_link,
+    is_terminal_cqs,
+    is_weak_fano,
+)
 from wblinks._record import Record
 
 
@@ -143,3 +156,33 @@ def verify_degree_inequalities(T: BlowupVariety) -> bool:
     all_ones = all(w == 1 for w in T.weights)
     second = d**d * p < s**d or (d**d * p == s**d and all_ones)
     return first and second
+
+
+def packed_walls_terminal(ws, tables) -> bool:
+    """True iff every wall flip of the ascending tuple ws is terminal.
+
+    The flip at each distinct v < ws[-2] has the terms w - v for every w in
+    ws, then -1 and -v (a zero term adds nothing).  Each entry e > 1 is
+    tested with one packed sum on ``tables[e] = (P, K, high)``, a table of
+    the scan's form (see ``wblinks.singularity._residue_table``): the flip
+    is terminal at e iff K plus the rows of its terms mod e has every bit
+    of high set.
+    """
+    for v in sorted({w for w in ws if w < ws[-2]}):
+        terms = [w - v for w in ws] + [-1, -v]
+        for e in terms:
+            if e > 1:
+                P, K, high = tables[e]
+                if K + sum(P[t % e] for t in terms) & high != high:
+                    return False
+    return True
+
+
+def naive_accepted(dim, bound):
+    """Unpruned enumerator: the ascending tuples with top weight <= bound
+    that ``build_link`` accepts."""
+    return tuple(
+        ws
+        for ws in combinations_with_replacement(range(1, bound + 1), dim)
+        if isinstance(build_link(ws, dim), Link)
+    )

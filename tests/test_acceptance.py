@@ -7,7 +7,6 @@ the end of the run).  Run with ``pytest tests/test_acceptance.py -v``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
@@ -34,6 +33,8 @@ from wblinks.toric import (
     is_weak_fano,
 )
 from wblinks.cli import render_report
+from reference import naive_accepted
+from test_properties import MANY
 
 # Smallest bound at which the dimension-4 count stabilizes (equal accepted
 # sets at the bound and at twice the bound); checked by
@@ -152,20 +153,8 @@ def test_criterion_6_property_suites():
     # The generative suites (>= 1000 cases each) live in test_properties.py
     # and run in the same session; here we verify their configuration and
     # re-run the deterministic enumerator cross-check they rely on.
-    import tests.test_properties as props
-
-    assert props.MANY.max_examples >= 1000
-
-    def naive(dim, bound):
-        out = []
-        for ws in itertools.combinations_with_replacement(
-            range(1, bound + 1), dim
-        ):
-            if isinstance(build_link(ws, dim), Link):
-                out.append(ws)
-        return tuple(out)
-
-    assert classify(4, 10).accepted == naive(4, 10)
+    assert MANY.max_examples >= 1000
+    assert classify(4, 10).accepted == naive_accepted(4, 10)
     _report(6, "property-suite configuration and pruned-vs-naive check")
 
 

@@ -54,6 +54,8 @@ MOVED = (
     "exceptional_patch_types",
     "wall_flip_weights",
     "verify_degree_inequalities",
+    "packed_walls_terminal",
+    "naive_accepted",
 )
 SRC = Path(wblinks.__file__).parent
 

@@ -40,22 +40,20 @@ from wblinks.classify import (
     worker_count,
 )
 from wblinks.link import STAGE_WALL
-from reference import CyclicQuotient, exceptional_patch_types, mori_structure, wall_flip_weights
+from reference import (
+    CyclicQuotient,
+    exceptional_patch_types,
+    mori_structure,
+    naive_accepted,
+    packed_walls_terminal,
+    wall_flip_weights,
+)
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 P4_LINKS = Path(__file__).parent / "data" / "p4_links_bound39.csv"
 
 # the package's `classify` attribute is the function, so look the module up
 SCAN = importlib.import_module("wblinks.classify")
-
-
-def naive_accepted(dim, bound):
-    """Unpruned reference: run the pipeline on every ascending tuple."""
-    return tuple(
-        ws
-        for ws in combinations_with_replacement(range(1, bound + 1), dim)
-        if isinstance(build_link(ws, dim), Link)
-    )
 
 
 def literal_terminal(ws, r):
@@ -127,11 +125,11 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     The scan hands the wall test exactly its blowup survivors, each once:
     the literal ones, so a wrong range of c or d fails here even where the
     walls would hide it.  Each packed answer is recorded during the scan
-    and compared with the scalar one after it.  It is also the answer with
-    None for the per-head sums, which tests each flip at all its entries;
-    the sums hold one entry a - v > 1 for each pair v < a of head weights,
-    and at_head survivors are rejected by the sums alone (dimension 3 has
-    no such pair).
+    and compared with the scalar one after it.  It is also the answer of
+    ``reference.packed_walls_terminal``, which tests each flip at all its
+    entries without the per-head sums; the sums hold one entry a - v > 1
+    for each pair v < a of head weights, and at_head survivors are
+    rejected by the sums alone (dimension 3 has no such pair).
     """
     real = SCAN._walls_terminal
     seen = []
@@ -140,7 +138,7 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
         c, d = ws[-2:]
         early = any(x + P[(c - v) % e] + P[(d - v) % e] & high != high for v, e, P, x, high in sums)
         pairs = {(v, e) for v, e, *_ in sums}
-        seen.append((ws, real(ws, tables, sums), real(ws, tables, None), early, pairs))
+        seen.append((ws, real(ws, tables, sums), packed_walls_terminal(ws, tables), early, pairs))
         return seen[-1][1]
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
@@ -307,6 +305,68 @@ def test_dim4_abcc_shape_follows_from_the_chart_at_c():
     assert len(charts) == 206
     assert terminal == [(2, 3, 5, 5), (3, 5, 8, 8)]
     assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] and ws[2] == ws[3]] == [(2, 3, 5, 5)]
+
+
+# The (a, b, a + b, a + b) with 2 <= a < b and a + b <= 100.
+ABCC = [(a, b, a + b, a + b) for b in range(3, 99) for a in range(2, min(b, 101 - b))]
+
+
+def test_dim4_abcc_chart_at_b_is_minus_one_and_three_a():
+    """First step after c = a + b: the chart at b is 1/b(-1, a, a, a)."""
+    for ws in ABCC:
+        a, b, _, _ = ws
+        assert exceptional_patch_types(ws)[1] == CyclicQuotient(b, (-1, a, a, a)), ws
+
+
+def test_dim4_abcc_chart_at_b_gives_b_2a_minus_1():
+    """Second step: the chart at b fails at k = b/g for g = gcd(a, b) > 1, and
+    at k = 1/a mod b unless that k is 2, which is b = 2a - 1."""
+    charts = []
+    for a, b, _, _ in ABCC:
+        flip, g = (-1, a, a, a), gcd(a, b)
+        if g > 1:
+            k = b // g
+            residues = [k * w % b for w in flip]
+            assert residues == [b - k, 0, 0, 0] and sum(residues) < b
+            assert not is_terminal_cqs(flip, b), (a, b)
+        else:
+            k = pow(a, -1, b)
+            assert [k * w % b for w in flip] == [b - k, 1, 1, 1] and k != 1
+            if is_terminal_cqs(flip, b):
+                assert k == 2 and b == 2 * a - 1, (a, b)
+                charts.append((a, b))
+        if is_terminal_blowup((a, b, a + b, a + b)):
+            assert (a, b) in charts
+    assert charts == [(a, 2 * a - 1) for a in range(2, 34)]
+
+
+def test_dim4_abcc_chart_at_a_leaves_a_at_most_3():
+    """Third step: with b = 2a - 1 the chart at a is 1/a(-1, -1, -1, -1), whose
+    residues at k = a - 1 are all 1; that leaves a = 2 and a = 3."""
+    terminal = []
+    for a in range(2, 60):
+        ws = (a, 2 * a - 1, 3 * a - 1, 3 * a - 1)
+        chart = exceptional_patch_types(ws)[0]
+        assert chart == CyclicQuotient(a, (-1, -1, -1, -1))
+        assert [(a - 1) * w % a for w in (-1, -1, -1, -1)] == [1, 1, 1, 1]
+        assert chart.is_terminal == (a <= 3)
+        if is_terminal_blowup(ws):
+            terminal.append(ws)
+    assert terminal == [(2, 3, 5, 5), (3, 5, 8, 8)]
+    assert [ws for ws in ABCC if is_terminal_blowup(ws)] == terminal
+
+
+def test_dim4_abcc_build_link_rejects_3588_at_its_wall_at_3():
+    """Last step: (3, 5, 8, 8) fails at the entry 5 of its wall at 3, at k = 3;
+    (2, 3, 5, 5) is accepted."""
+    flip = wall_flip_weights(BlowupVariety(4, (3, 5, 8, 8)), 3)
+    assert flip == (-3, -1, 2, 5, 5)
+    assert [3 * w % 5 for w in flip] == [1, 2, 1, 0, 0]
+    assert not is_terminal_cqs(flip, 5)
+    rejected = build_link((3, 5, 8, 8), 4)
+    assert isinstance(rejected, Rejected)
+    assert (rejected.stage, rejected.wall) == (STAGE_WALL, 3)
+    assert isinstance(build_link((2, 3, 5, 5), 4), Link)
 
 
 def _entries(field):

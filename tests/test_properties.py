@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wblinks import (
+    FANO,
     NOT_WEAK_FANO,
     BlowupVariety,
     Link,
@@ -152,6 +153,33 @@ def test_weak_fano_is_nonnegative_nef_coords(ws):
     T = BlowupVariety(len(ws), tuple(ws))
     x, y = _coords(anticanonical_class(T), T.weights[0])
     assert (is_weak_fano(T) != NOT_WEAK_FANO) == (x >= 0 and y >= 0)
+
+
+@MANY
+@given(blowup_weight_lists)
+def test_fano_is_positive_nef_coords(ws):
+    """First step of the ``is_weak_fano`` proof: -K_T is ample iff both of its
+    coordinates in the basis {H, H - a_1 E} are positive, iff
+    sum(a_i) - 1 < (d+1) * a_1."""
+    T = BlowupVariety(len(ws), tuple(ws))
+    x, y = _coords(anticanonical_class(T), T.weights[0])
+    d, s, a1 = T.dim, T.weight_sum, T.weights[0]
+    assert y == Fraction(s - 1, a1) > 0 and x == d + 1 - y
+    assert (is_weak_fano(T) == FANO) == (x > 0 and y > 0) == (s - 1 < (d + 1) * a1)
+
+
+@MANY
+@given(blowup_weight_lists)
+def test_nef_antik_is_big_by_the_degree_chain(ws):
+    """Second step: when -K_T is nef, (sum - 1)^d <= ((d+1) a_1)^d
+    <= (d+1)^d prod(a_i), not both equalities, so (-K_T)^d > 0."""
+    T = BlowupVariety(len(ws), tuple(ws))
+    if is_weak_fano(T) == NOT_WEAK_FANO:
+        return
+    d, s, a1, p = T.dim, T.weight_sum, T.weights[0], prod(ws)
+    lo, mid, hi = (s - 1) ** d, ((d + 1) * a1) ** d, (d + 1) ** d * p
+    assert lo <= mid <= hi and lo < hi, ws
+    assert antik_degree(T) == (d + 1) ** d - Fraction(lo, p) > 0
 
 
 @MANY
