@@ -22,8 +22,10 @@ those three stages, which are the whole of acceptance (a divisorial end's
 target is terminal by the proof in ``wblinks.link``).  The scan's blowup
 and wall tests are packed: both sum rows of the one ``_residue_table`` of
 each index and test every k of the residue-sum criterion with one mask;
-the row rule and the per-head wall sums of ``_scan_partition`` are parts
-of those same tests.
+the row rule, the per-head wall sums and the per-head memo of flip sums
+of ``_scan_partition`` are parts of those same tests.  A head's memo
+lives only while its candidates are scanned, so it holds nothing of
+another head and crosses neither the fork nor the cut.
 ``build_link`` re-checks the blowup and every wall with the scalar
 residue-sum loop, which shares no code with the packed test; both test
 each flip at its own entries > 1 (see ``is_terminal_wps``).  So a scan bug
@@ -103,7 +105,21 @@ def _partitions(dim: int, bound: int):
     return list(combinations_with_replacement(range(1, bound + 1), dim - 2))
 
 
-def _walls_terminal(ws: tuple[int, ...], tables, sums) -> bool:
+def _head_sum(head: tuple[int, ...], v: int, e: int, tables):
+    """(P, x, high) of ``tables[e]`` for the flip at v, less its terms c - v and d - v.
+
+    x is the offset plus the rows of -1, -v and w - v for each w in head:
+    every term of the flip at v but the two that the candidate's c and d
+    add.  It depends only on the head, v and e.
+    """
+    P, K, high = tables[e]
+    x = K + P[e - 1] + P[-v % e]
+    for w in head:
+        x += P[(w - v) % e]
+    return P, x, high
+
+
+def _walls_terminal(ws: tuple[int, ...], tables, sums, memo) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
     This is ``is_terminal_wps``'s rule, packed, on each flip: for each
@@ -114,35 +130,42 @@ def _walls_terminal(ws: tuple[int, ...], tables, sums) -> bool:
     each entry e > 1 on the rows of ``tables[e]``.
 
     The entries > 1 of the flip at v are a - v for head weights a > v + 1,
-    and c - v and d - v, where (c, d) = ws[-2:].  An entry a - v, and every
-    term of the flip but c - v and d - v, depends only on the head, so
-    sums, built once per head by ``_scan_partition``, holds one (v, e, P,
-    x, high) for each such entry: P and high from ``tables[e]``, and x the
-    offset plus the rows of -1, -v and w - v for each head weight w.  Each
-    is tested with the rows of c - v and d - v, before any flip is built;
-    then each flip is tested at its entries c - v and d - v.  Together
-    that is every entry > 1 of every flip, once.
+    and c - v and d - v, where (c, d) = ws[-2:].  Every term of the flip
+    but c - v and d - v depends only on the head, v and e, so at each
+    entry e the flip's sum is the head's x (``_head_sum``) plus the rows of
+    c - v and d - v.  Both arguments are built once per head by
+    ``_scan_partition``.  sums holds one (v, e, P, x, high) for each entry
+    a - v, and is tested first, with two row lookups.  memo holds (v, row)
+    for each distinct head weight v, ascending; row[e] is None until the
+    first test of a flip at v at the entry e fills it with (P, x, high).
+    Each flip is then tested at its entries c - v and d - v from row[e],
+    with one row lookup each: at e = c - v the row of c - v is P[0] = 0,
+    and at e = d - v the row of d - v is.  Together that is every entry
+    > 1 of every flip, once.
     """
     c, d = ws[-2:]
     for v, e, P, x, high in sums:
         if x + P[(c - v) % e] + P[(d - v) % e] & high != high:
             return False
-    last = 0
-    for v in ws[:-2]:
+    for v, row in memo:
         if v >= c:
             break
-        if v == last:
-            continue
-        last = v
-        terms = [w - v for w in ws] + [-1, -v]
-        for e in (c - v, d - v):
-            if e > 1:
-                P, K, high = tables[e]
-                x = K
-                for t in terms:
-                    x += P[t % e]
-                if x & high != high:
-                    return False
+        e = c - v
+        if e > 1:
+            m = row[e]
+            if m is None:
+                m = row[e] = _head_sum(ws[:-2], v, e, tables)
+            P, x, high = m
+            if x + P[(d - v) % e] & high != high:
+                return False
+        e = d - v
+        if e > 1:
+            m = row[e]
+            if m is None:
+                m = row[e] = _head_sum(ws[:-2], v, e, tables)
+            P, x, high = m
+            if x + P[(c - v) % e] & high != high:
+                return False
     return True
 
 
@@ -182,8 +205,14 @@ def _scan_partition(
     the head.  Each head sums those rows once, and ``_walls_terminal``
     tests the sums first, with two row lookups per blowup survivor, and
     then each flip at its entries c - v and d - v; the wall test has no
-    other path.  The row rule adds no test per candidate, and neither
-    rule changes the survivors.
+    other path.  The flip entries share the same head-only sum: each head
+    makes a memo with one row per distinct head weight v, indexed by the
+    entry e, and the wall test fills row[e] the first time it tests a flip
+    at v at e.  So each flip entry costs one row lookup, and each (v, e)
+    one sum per head; at bound 40 in dimension 4, 11,798 flip-entry tests
+    fill 2,976 entries.  The memo goes with its head.  The row rule adds
+    no test per candidate, and neither rule nor the memo changes the
+    survivors.
 
     Every survivor with top weight <= cut is kept.  A survivor above the
     cut is kept only until one is found that ``build_link`` accepts, its
@@ -201,13 +230,9 @@ def _scan_partition(
             continue
         h = sum(head)
         odd = sum(a & 1 for a in head)
-        sums = []
-        for v, e in sorted({(v, a - v) for v in head for a in head if a - v > 1}):
-            P, K, high = tables[e]
-            x = K + P[e - 1] + P[-v % e]
-            for w in head:
-                x += P[(w - v) % e]
-            sums.append((v, e, P, x, high))
+        sums = [(v, e, *_head_sum(head, v, e, tables))
+                for v, e in sorted({(v, a - v) for v in head for a in head if a - v > 1})]
+        memo = [(v, [None] * top) for v in sorted(set(head))]
         for S in range(2 * head[-1], 2 * top + 1, 1 + (odd == 0)):
             P, K, high = tables[h + S - 1]
             base = K
@@ -221,7 +246,7 @@ def _scan_partition(
             for c in range(low, S // 2 + 1, step):
                 if base + P[c] + P[S - c] & high == high:
                     ws = head + (c, S - c)
-                    if _walls_terminal(ws, tables, sums):
+                    if _walls_terminal(ws, tables, sums, memo):
                         if S - c <= cut:
                             out.append(ws)
                         elif top > cut:
@@ -409,6 +434,26 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       residue sum at k = 4 is 4).  That leaves (1, 2, 2, 3) and
       (1, 2, 2, 5), and ``build_link`` accepts both.
 
+    The family (1, b, c, c), 2 <= b < c, is (1, 2, 3, 3) and (1, 2, 5, 5) at
+    every bound >= 5:
+
+    - The wall at 1 has flip (-1, -1, b-1, c-1, c-1).  At its entry c - 1
+      the two entries c - 1 are 0, so it is 1/(c-1)(-1, -1, b-1) times a
+      plane, and that quotient must be terminal.  By the terminal lemma two
+      of -1, -1 and b - 1 sum to 0 mod c - 1.  Either (c - 1) | 2, so c = 3
+      and then b = 2; or (c - 1) | (b - 2), and 0 <= b - 2 < c - 1 gives
+      b = 2.
+    - With b = 2 the wall at 2 has flip (-2, -1, -1, c-2, c-2), whose only
+      entry > 1 is c - 2, when c >= 4.  There it is 1/(c-2)(-2, -1, -1)
+      times a plane, so the lemma needs (c - 2) | 3 or (c - 2) | 2: c = 5
+      or c = 4.  At c = 4 the residues at k = 1 are 0, 1 and 1, which sum
+      to 2 <= 2.  At c = 3 the flip has no entry > 1.  That leaves
+      (1, 2, 3, 3) and (1, 2, 5, 5).
+    - The wall at 1 of (1, 2, c, c) is terminal for every c: at its entry
+      e = c - 1 and every k the residues are e - k, e - k, k, 0 and 0, which
+      sum to 2e - k > e.  -K is interior iff 5c > 2c + 2, which always
+      holds, and ``build_link`` accepts both.
+
     A blowup-terminal (a, b, c, c) with 2 <= a < b < c has c = a + b:
 
     - By the chart lemma (see ``is_terminal_blowup``) its chart at c,
@@ -440,7 +485,7 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
 
     The rest of the dimension-4 answer, 421 quadruples with top weight
     <= 39 in all, is computed, not proved: the other repeated-weight shapes
-    (12 quadruples) and the 399 strictly increasing ones.  CI checks that
+    (10 quadruples) and the 399 strictly increasing ones.  CI checks that
     it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """

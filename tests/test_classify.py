@@ -134,11 +134,11 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     real = SCAN._walls_terminal
     seen = []
 
-    def record(ws, tables, sums):
+    def record(ws, tables, sums, memo):
         c, d = ws[-2:]
         early = any(x + P[(c - v) % e] + P[(d - v) % e] & high != high for v, e, P, x, high in sums)
         pairs = {(v, e) for v, e, *_ in sums}
-        seen.append((ws, real(ws, tables, sums), packed_walls_terminal(ws, tables), early, pairs))
+        seen.append((ws, real(ws, tables, sums, memo), packed_walls_terminal(ws, tables), early, pairs))
         return seen[-1][1]
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
@@ -154,6 +154,53 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     assert sum(early for *_, early, _ in seen) == at_head
 
 
+@pytest.mark.parametrize("dim,bound,tested,filled", [(4, 40, 11798, 2976), (5, 12, 7553, 2035)])
+def test_wall_memo_holds_each_heads_flip_sums(monkeypatch, dim, bound, tested, filled):
+    """Each head's memo holds the head-only sum of each flip entry its candidates tested.
+
+    A flip entry e = c - v or d - v is tested, ascending in v and c - v
+    first, once the head sums pass and until the first failure; the hook
+    replays that order with the scalar criterion.  After each call the
+    head's memo holds exactly the (v, e) tested so far for that head, each
+    as (P, x, high) of the table at e, with x the offset plus the rows of
+    -1, -v and w - v over the head, summed afresh here.  A head's memo is
+    its own, made once, with one row per distinct head weight.
+    """
+    real = SCAN._walls_terminal
+    memos, entries = {}, {}  # head -> its memo; head -> the (v, e) tested so far
+    count = 0
+
+    def record(ws, tables, sums, memo):
+        nonlocal count
+        head, (c, d) = ws[:-2], ws[-2:]
+        assert memos.setdefault(head, memo) is memo, ws
+        assert [v for v, _ in memo] == sorted(set(head)), ws
+        packed = real(ws, tables, sums, memo)
+        if all(x + P[(c - v) % e] + P[(d - v) % e] & high == high for v, e, P, x, high in sums):
+            flips = [(v, e) for v in sorted(set(head)) if v < c for e in (c - v, d - v) if e > 1]
+            for v, e in flips:
+                count += 1
+                entries.setdefault(head, set()).add((v, e))
+                if not is_terminal_cqs([w - v for w in ws] + [-1, -v], e):
+                    break
+        filled_now = {(v, e) for v, row in memo for e, m in enumerate(row) if m}
+        assert filled_now == entries.get(head, set()), ws
+        return packed
+
+    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    _survivors(dim, bound, 1, bound)
+    assert count == tested
+    assert sum(map(len, entries.values())) == filled
+    assert len({id(memo) for memo in memos.values()}) == len(memos)
+    for head, memo in memos.items():
+        for v, row in memo:
+            for e, m in enumerate(row):
+                if m:
+                    P, K, high = SCAN._residue_table(e, dim, bound)
+                    fresh = K + sum(P[t % e] for t in [-1, -v] + [w - v for w in head])
+                    assert m == (P, fresh, high), (head, v, e)
+
+
 @pytest.mark.parametrize("dim,bound,dropped", [(3, 40, 3522), (4, 24, 4161), (5, 10, 341)])
 def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch, dim, bound, dropped):
     """The scan skips the interior candidates with an even blowup index V
@@ -164,7 +211,7 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
     """
     tested = []
 
-    def record(ws, tables, sums):
+    def record(ws, tables, sums, memo):
         tested.append(ws)
         return False
 
@@ -283,6 +330,65 @@ def test_dim4_122d_family_follows_from_the_wall_at_1():
     accepted = [(1, 2, 2, 3), (1, 2, 2, 5)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
     assert [ws for ws in classify(4, 40).accepted if ws[:3] == (1, 2, 2)] == accepted
+
+
+def test_dim4_1bcc_wall_at_1_forces_b_2():
+    """First step of the (1, b, c, c) argument: at the entry c - 1 the wall
+    at 1 is 1/(c-1)(-1, -1, b-1) times a plane, terminal only if b = 2."""
+    passed = []
+    for c in range(3, 61):
+        for b in range(2, c):
+            T = BlowupVariety(4, (1, b, c, c))
+            flip = wall_flip_weights(T, 1)
+            assert interior_walls(T) == [1, b] and flip == (-1, -1, b - 1, c - 1, c - 1)
+            r = c - 1
+            assert [w % r for w in flip[3:]] == [0, 0]
+            terminal = is_terminal_cqs(flip, r)
+            assert terminal == is_terminal_cqs((-1, -1, b - 1), r)
+            if terminal:
+                pairs = [(x, y) for x, y in combinations((-1, -1, b - 1), 2) if (x + y) % r == 0]
+                assert pairs and (2 % r == 0 or (b - 2) % r == 0), (b, c)
+                assert b == 2, (b, c)
+            if is_terminal_wps(flip):
+                passed.append((b, c))
+    assert passed == [(2, c) for c in range(3, 61)]
+
+
+def test_dim4_12cc_wall_at_2_leaves_c_3_and_5():
+    """Second step: with b = 2 the wall at 2 is 1/(c-2)(-2, -1, -1) times a
+    plane at its only entry > 1, c - 2, which leaves c = 3 and c = 5."""
+    passed = []
+    for c in range(3, 61):
+        flip = wall_flip_weights(BlowupVariety(4, (1, 2, c, c)), 2)
+        assert flip == (-2, -1, -1, c - 2, c - 2)
+        assert [w for w in flip if w > 1] == ([c - 2, c - 2] if c >= 4 else [])
+        if c >= 4:
+            r = c - 2
+            terminal = is_terminal_cqs(flip, r)
+            assert terminal == is_terminal_cqs((-2, -1, -1), r)
+            if terminal:
+                assert 3 % r == 0 or 2 % r == 0, c
+            if c == 4:
+                assert [w % 2 for w in flip[:3]] == [0, 1, 1] and not terminal
+        if is_terminal_wps(flip):
+            passed.append(c)
+    assert passed == [3, 5]
+
+
+def test_dim4_1bcc_answer_is_1233_and_1255():
+    """Last step: the wall at 1 of (1, 2, c, c) is terminal at every c, -K is
+    interior, and ``build_link`` accepts (1, 2, 3, 3) and (1, 2, 5, 5)."""
+    for c in range(3, 61):
+        ws = (1, 2, c, c)
+        flip, e = wall_flip_weights(BlowupVariety(4, ws), 1), c - 1
+        for k in range(1, e):
+            residues = [k * w % e for w in flip]
+            assert residues == [e - k, e - k, k, 0, 0]
+            assert sum(residues) == 2 * e - k > e
+        assert antik_in_interior_mov(BlowupVariety(4, ws)), ws
+    accepted = [(1, 2, 3, 3), (1, 2, 5, 5)]
+    assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
+    assert [ws for ws in classify(4, 40).accepted if ws[0] == 1 < ws[1] < ws[2] == ws[3]] == accepted
 
 
 def test_dim4_abcc_shape_follows_from_the_chart_at_c():
@@ -549,9 +655,9 @@ def test_stabilize_scans_a_fraction_of_the_walls_above_an_unstable_bound(monkeyp
     """
     real, calls = SCAN._walls_terminal, []
 
-    def record(ws, tables, sums):
+    def record(ws, tables, sums, memo):
         calls.append(ws)
-        return real(ws, tables, sums)
+        return real(ws, tables, sums, memo)
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     classify(4, 32)
@@ -726,7 +832,7 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
     is dropped.
     """
 
-    def fail(ws, tables, sums):
+    def fail(ws, tables, sums, memo):
         raise RuntimeError("wall test failed")
 
     def failing_scan():
