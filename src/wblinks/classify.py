@@ -19,11 +19,14 @@ finds one scans the rest of its share at B.
 Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
 those three stages, which are the whole of acceptance (a divisorial end's
-target is terminal by the proof in ``wblinks.link``).  The scan's blowup
-and wall tests are packed: both sum rows of the one ``_residue_table`` of
-each index and test every k of the residue-sum criterion with one mask;
-the row rule, the per-head wall sums and the per-head memo of flip sums
-of ``_scan_partition`` are parts of those same tests.  A head's memo
+target is terminal by the proof in ``wblinks.link``).  Each scanning
+process builds its own tables and runs ``build_link`` on its own
+survivors, so a survivor is re-checked in the process that found it.  The
+scan's blowup and wall tests are packed: both sum rows of the one
+``_residue_table`` of each index and test every k of the residue-sum
+criterion with one mask; the row rule, the per-head wall sums and the
+per-head memo of flip sums of ``_scan_partition`` are parts of those
+same tests.  A head's memo
 lives only while its candidates are scanned, so it holds nothing of
 another head and crosses neither the fork nor the cut.
 ``build_link`` re-checks the blowup and every wall with the scalar
@@ -45,7 +48,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from ._record import Record
-from .link import Link, build_link
+from .link import Link, _link_fields, _link_from_fields, build_link
 from .singularity import _residue_table
 
 # The CLI's bound when none is given: dimension 3 is complete at any bound
@@ -57,10 +60,10 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # candidates and 32 MiB of blowup tables admitted: dimension 4 has
 # 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
 # blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
-# Measured in process with Python 3.11, the scan's tables (built in
-# ``_survivors``) hold 33.7 MiB as Python objects in a dimension-3 scan at
-# 170, and 28.0 MiB in dimension 4 at 130; those scans peak at 50.5 MB and
-# 46.4 MB.
+# Measured in process with Python 3.11, the scan's tables (built by
+# ``_linked_share``, one list in each scanning process) hold 33.7 MiB as
+# Python objects in a serial dimension-3 scan at 170, and 28.0 MiB in
+# dimension 4 at 130; those scans peak at 50.5 MB and 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 
@@ -256,24 +259,56 @@ def _scan_partition(
     return out
 
 
-def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...]]:
-    """The scan's survivors, sorted, from jobs processes that scan.
+def _linked_share(dim: int, bound: int, heads, cut: int) -> list:
+    """One process's share of the scan: its survivors, each with its link or None.
 
-    This function owns the scan's state: it builds the heads and the tables,
-    forks jobs - 1 children, which inherit both, and scans a share itself,
-    so a serial scan forks nothing.  Process i of 0, ..., jobs - 1 (0 is the
-    parent) makes one ``_scan_partition`` call on the interleaved heads
+    The process builds its own tables, ``tables[r]`` =
+    ``_residue_table(r, dim, bound)`` for every index r = 2, ...,
+    dim * bound - 1 (0 and 1 are unused).  The blowup test reads
+    ``tables[sum(head) + S - 1]`` once per head and S = c + d, which runs
+    up to dim * bound - 1, where every weight is the bound; the wall test
+    reads ``tables[e]`` at each flip entry e > 1, at most bound - 1, and
+    the bound's rows hold every residue mod e.  The blowup test sums dim
+    terms and a flip has at most dim + 1 nonzero ones, and a table for n
+    terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
+    every index in that range.  The list takes about 7 * B**3 bytes at
+    bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
+    B = 40 and 6.1 MiB at B = 78.  The tables go once the share is
+    scanned, before ``build_link`` runs on each survivor; the link is None
+    where ``build_link`` rejects the survivor.
+    """
+    tables = [None, None] + [
+        _residue_table(r, dim, bound) for r in range(2, dim * bound)
+    ]
+    found = _scan_partition(dim, bound, heads, tables, cut)
+    del tables
+    return [(ws, link if isinstance(link := build_link(ws, dim), Link) else None)
+            for ws in found]
+
+
+def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
+    """The scan's survivors, sorted, each with its link or None, from jobs processes.
+
+    This function owns the scan's processes: it builds the heads, forks
+    jobs - 1 children, which inherit them, and scans a share itself, so a
+    serial scan forks nothing.  Process i of 0, ..., jobs - 1 (0 is the
+    parent) makes one ``_linked_share`` call on the interleaved heads
     ``heads[i::jobs]``, which spreads the costly heads of large weights
-    evenly.  A child writes its list to its own pipe as ``marshal`` bytes
-    and always leaves by ``os._exit``: 0 once it is written, 1 on any
-    exception, whose ``repr`` it writes to the pipe instead.  So it never
-    flushes the parent's buffers or runs its ``finally`` clauses or exit
-    handlers.  The parent reads each pipe to EOF before it reaps that child,
-    and a child that exits nonzero fails the scan with a ``RuntimeError``
-    that quotes what the child wrote.  A fork that fails closes its pipe.
-    However the scan ends, the ``finally`` kills and reaps every child not
-    yet reaped.  The parent merges the lists and sorts them once, so the
-    order does not depend on the split; the tables go when it returns.
+    evenly.  Each process builds its own tables after the fork and runs
+    ``build_link`` on each of its own survivors, so the children start
+    with no tables to copy and the parent links only its own share.  A
+    child writes its pairs to its own pipe as ``marshal`` bytes, each link
+    as ``link._link_fields`` writes it, and always leaves by ``os._exit``:
+    0 once it is written, 1 on any exception, whose ``repr`` it writes to
+    the pipe instead.  So it never flushes the parent's buffers or runs
+    its ``finally`` clauses or exit handlers.  The parent scans and links
+    its own share before it reads any pipe, then reads each pipe to EOF
+    before it reaps that child and rebuilds the child's links.  A child
+    that exits nonzero fails the scan with a ``RuntimeError`` that quotes
+    what the child wrote.  A fork that fails closes its pipe.  However the
+    scan ends, the ``finally`` kills and reaps every child not yet reaped.
+    The parent merges the lists and sorts them once by the tuple, so the
+    order does not depend on the split.
 
     The cut goes to every process: each keeps all of its survivors with
     top weight <= cut, and stops looking above the cut at its own first
@@ -283,22 +318,6 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...
     bound passes cut == bound and has no survivor above the cut.
     """
     heads = _partitions(dim, bound)
-    # The packed tables: ``tables[r]`` is ``_residue_table(r, dim, bound)``
-    # for every index r = 2, ..., dim * bound - 1 (0 and 1 are unused).  The
-    # blowup test reads ``tables[sum(head) + S - 1]`` once per head and
-    # S = c + d, which runs up to dim * bound - 1, where every weight is the
-    # bound; the wall test reads ``tables[e]`` at each flip entry e > 1, at
-    # most bound - 1, and the bound's rows hold every residue mod e.  The
-    # blowup test sums dim terms and a flip has at most dim + 1 nonzero
-    # ones, and a table for n terms is exact on n + 1 (see
-    # ``_residue_table``).  A full scan meets every index in that range, so
-    # the list is built once, before the fork, and held only while the
-    # scan runs.  It takes about 7 * B**3 bytes at bound B in dimension 3
-    # and 13.5 * B**3 in dimension 4: 0.9 MiB at B = 40 and 6.1 MiB at
-    # B = 78.
-    tables = [None, None] + [
-        _residue_table(r, dim, bound) for r in range(2, dim * bound)
-    ]
     pending = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
         for i in range(1, jobs):
@@ -315,8 +334,10 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...
                     os.close(r)
                     with open(w, "wb") as pipe:
                         try:
-                            data = marshal.dumps(
-                                _scan_partition(dim, bound, heads[i::jobs], tables, cut))
+                            data = marshal.dumps([
+                                (ws, _link_fields(link))
+                                for ws, link in _linked_share(dim, bound, heads[i::jobs], cut)
+                            ])
                         except BaseException as exc:
                             pipe.write(repr(exc).encode())
                             raise
@@ -326,7 +347,7 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...
                     os._exit(status)
             os.close(w)
             pending[pid] = open(r, "rb")
-        out = _scan_partition(dim, bound, heads[::jobs], tables, cut)
+        out = _linked_share(dim, bound, heads[::jobs], cut)
         for pid, pipe in list(pending.items()):
             with pipe:
                 data = pipe.read()
@@ -338,13 +359,14 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list[tuple[int, ...
                     f"{os.waitstatus_to_exitcode(status)}: "
                     f"{data.decode(errors='replace') or 'no exception reported'}"
                 )
-            out += marshal.loads(data)
+            out += [(ws, _link_from_fields(fields)) for ws, fields in marshal.loads(data)]
     finally:
         for pid, pipe in pending.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return sorted(out)
+    out.sort(key=operator.itemgetter(0))
+    return out
 
 
 def _check_scan(dim: int, bound: int) -> None:
@@ -483,9 +505,33 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       (-3, -1, 2, 5, 5) at the entry 5 has residues 1, 2, 1, 0 and 0 at
       k = 3, which sum to 4 <= 5.  It accepts (2, 3, 5, 5).
 
+    The family (1, b, b, d), 3 <= b < d, is (1, 3, 3, 4) and (1, 3, 3, 8)
+    at every bound >= 8:
+
+    - -K is interior iff 5b > 2b + d, that is d <= 3b - 1.  The only wall
+      is at 1, with flip (-1, -1, b-1, b-1, d-1).
+    - At its entry d - 1 and k = d - 2 the residues are 1, 1, d - b,
+      d - b and 0, which sum to 2(d - b) + 2.  That exceeds d - 1 only if
+      d >= 2b - 2.
+    - At its entry b - 1 the two entries b - 1 are 0, so it is
+      1/(b-1)(-1, -1, d-1) times a plane, and that quotient must be
+      terminal.  By the terminal lemma two of -1, -1 and d - 1 sum to 0
+      mod b - 1.  Either (b - 1) | 2, so b = 3; or d = 2 mod (b - 1).
+    - For b >= 4 the d in [2b - 2, 3b - 1] with d = 2 mod (b - 1) are 2b
+      and 3b - 1.  At d = 2b the chart at b, 1/b(-1, 1, b, 2b) =
+      1/b(-1, 1, 0, 0), has residue sum b at every k, so the blowup is
+      not terminal.  At d = 3b - 1 the wall at 1, at its entry 3b - 2 and
+      k = 3b - 5, has residues 3, 3, 1, 1 and 0, which sum to
+      8 <= 3b - 2.
+    - For b = 3, 4 <= d <= 8.  At the entry 2 and k = 1 the residues are
+      1, 1, 0, 0 and d - 1 mod 2, so d is even.  The chart at 3,
+      1/3(-1, 1, 3, d), has residue sum 3 at every k if 3 | d.  That
+      leaves (1, 3, 3, 4) and (1, 3, 3, 8), and ``build_link`` accepts
+      both.
+
     The rest of the dimension-4 answer, 421 quadruples with top weight
     <= 39 in all, is computed, not proved: the other repeated-weight shapes
-    (10 quadruples) and the 399 strictly increasing ones.  CI checks that
+    (8 quadruples) and the 399 strictly increasing ones.  CI checks that
     it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """
@@ -516,13 +562,22 @@ def _classify(
     the bound only for one that ``build_link`` accepts (see
     ``_survivors``).  The run keeps the links with top weight <= bound,
     and the flag is True iff ``build_link`` accepts no survivor above the
-    bound.  At top == bound there is none, and the flag is True.  The
-    bound is checked before top, so a bound below 2 is refused as such.
+    bound.  At top == bound there is none, and the flag is True.  A top
+    over budget is refused with the largest bound that can stabilize.  The
+    links are the ones ``_survivors`` returns, built in the process that
+    found each survivor.  The bound is checked before top, so a bound
+    below 2 is refused as such.
     """
     _check_scan(dim, bound)
-    _check_scan(dim, top)
+    try:
+        _check_scan(dim, top)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; --stabilize scans at twice the bound it is given ({bound}), "
+            f"so its largest bound is {MAX_BOUNDS[4] // 2} in dimension 4 and "
+            f"{MAX_BOUNDS[3] // 2} in dimension 3"
+        ) from None
     jobs = worker_count(jobs, dim, top)
-    links = {ws: link for ws in _survivors(dim, top, jobs, bound)
-             if isinstance(link := build_link(ws, dim), Link)}
+    links = {ws: link for ws, link in _survivors(dim, top, jobs, bound) if link is not None}
     kept = {ws: link for ws, link in links.items() if ws[-1] <= bound}
     return ClassificationRun(dim, bound, kept, jobs), len(kept) == len(links)

@@ -287,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--dim", type=int, choices=(3, 4), required=True)
     scan.add_argument("--bound", type=int, default=None, help=(
         f"default: {DEFAULT_BOUNDS[3]} in dim 3, {DEFAULT_BOUNDS[4]} in dim 4; "
-        f"at most {MAX_BOUNDS[3]} and {MAX_BOUNDS[4]}"
+        f"at most {MAX_BOUNDS[3]} and {MAX_BOUNDS[4]} ({MAX_BOUNDS[3] // 2} and "
+        f"{MAX_BOUNDS[4] // 2} with classify --stabilize, which scans at twice the bound)"
     ))
     scan.add_argument("--jobs", type=int, default=1, help=(
         "processes that scan (default: 1), capped by the usable CPUs and by the "

@@ -111,7 +111,7 @@ def literal_survivors(dim, bound):
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
 def test_scan_matches_literal_criterion(dim, bound):
-    assert tuple(_survivors(dim, bound, 1, bound)) == literal_survivors(dim, bound)
+    assert tuple(ws for ws, _ in _survivors(dim, bound, 1, bound)) == literal_survivors(dim, bound)
 
 
 @pytest.mark.parametrize(
@@ -475,6 +475,85 @@ def test_dim4_abcc_build_link_rejects_3588_at_its_wall_at_3():
     assert isinstance(build_link((2, 3, 5, 5), 4), Link)
 
 
+# The (1, b, b, d) with 3 <= b < d and d <= 120.
+ONE_BBD = [(1, b, b, d) for b in range(3, 120) for d in range(b + 1, 121)]
+
+
+def test_dim4_1bbd_interior_and_wall_at_1_give_d_from_2b_minus_2_to_3b_minus_1():
+    """First step of the (1, b, b, d) argument in the ``classify`` docstring:
+    -K is interior iff d <= 3b - 1, and the only wall, at 1, fails at its
+    entry d - 1 and k = d - 2 unless d >= 2b - 2."""
+    for ws in ONE_BBD:
+        _, b, _, d = ws
+        T = BlowupVariety(4, ws)
+        assert antik_in_interior_mov(T) == (d <= 3 * b - 1), ws
+        flip = wall_flip_weights(T, 1)
+        assert interior_walls(T) == [1] and flip == (-1, -1, b - 1, b - 1, d - 1)
+        r, k = d - 1, d - 2
+        residues = [k * w % r for w in flip]
+        assert residues == [1, 1, d - b, d - b, 0]
+        if sum(residues) <= r:
+            assert d < 2 * b - 2 and not is_terminal_wps(flip), ws
+        else:
+            assert d >= 2 * b - 2, ws
+
+
+def test_dim4_1bbd_wall_at_1_at_entry_b_minus_1_needs_b_3_or_d_2_mod_b_minus_1():
+    """Second step: at the entry b - 1 the wall at 1 is 1/(b-1)(-1, -1, d-1)
+    times a plane, terminal only if b = 3 or d = 2 mod (b - 1)."""
+    for ws in ONE_BBD:
+        _, b, _, d = ws
+        flip, r = wall_flip_weights(BlowupVariety(4, ws), 1), b - 1
+        assert [w % r for w in flip[2:4]] == [0, 0]
+        terminal = is_terminal_cqs(flip, r)
+        assert terminal == is_terminal_cqs((-1, -1, d - 1), r)
+        if terminal:
+            pairs = [(x, y) for x, y in combinations((-1, -1, d - 1), 2) if (x + y) % r == 0]
+            assert pairs and (2 % r == 0 or (d - 2) % r == 0), ws
+            assert b == 3 or d % r == 2 % r, ws
+
+
+def test_dim4_1bbd_b_at_least_4_fails_at_d_2b_and_3b_minus_1():
+    """Third step: for b >= 4 only d = 2b and d = 3b - 1 are left, and the
+    chart at b or the wall at 1 fails there; no such (1, b, b, d) passes
+    the wall at 1 and the interior inequality."""
+    for b in range(4, 120):
+        left = [d for d in range(2 * b - 2, 3 * b) if d % (b - 1) == 2]
+        assert left == [2 * b, 3 * b - 1], b
+        chart = exceptional_patch_types((1, b, b, 2 * b))[1]
+        assert chart == CyclicQuotient(b, (-1, 1, 0, 0))
+        assert all(sum(k * w % b for w in (-1, 1, 0, 0)) == b for k in range(1, b))
+        assert not chart.is_terminal and not is_terminal_blowup((1, b, b, 2 * b))
+        d, r, k = 3 * b - 1, 3 * b - 2, 3 * b - 5
+        flip = wall_flip_weights(BlowupVariety(4, (1, b, b, d)), 1)
+        residues = [k * w % r for w in flip]
+        assert residues == [3, 3, 1, 1, 0] and sum(residues) <= r
+        assert not is_terminal_wps(flip), b
+    passed = [
+        ws for ws in ONE_BBD if ws[1] >= 4 and antik_in_interior_mov(BlowupVariety(4, ws))
+        and is_terminal_wps(wall_flip_weights(BlowupVariety(4, ws), 1))
+    ]
+    assert passed == []
+
+
+def test_dim4_1bbd_answer_is_1334_and_1338():
+    """Last step: b = 3 leaves 4 <= d <= 8; the entry 2 of the wall at 1
+    needs d even and the chart at 3 needs 3 not dividing d."""
+    for d in range(4, 9):
+        ws = (1, 3, 3, d)
+        flip = wall_flip_weights(BlowupVariety(4, ws), 1)
+        assert [w % 2 for w in flip] == [1, 1, 0, 0, (d - 1) % 2]
+        assert is_terminal_cqs(flip, 2) == (d % 2 == 0)
+        chart = exceptional_patch_types(ws)[1]
+        assert chart == CyclicQuotient(3, (-1, 1, 3, d))
+        if d % 3 == 0:
+            assert all(sum(k * w % 3 for w in (-1, 1, 3, d)) == 3 for k in (1, 2))
+            assert not chart.is_terminal
+    accepted = [(1, 3, 3, 4), (1, 3, 3, 8)]
+    assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
+    assert [ws for ws in classify(4, 40).accepted if ws[0] == 1 and 3 <= ws[1] == ws[2] < ws[3]] == accepted
+
+
 def _entries(field):
     """The integers of one ':'-joined list of the pinned links file."""
     return tuple(int(x) for x in field.split(":"))
@@ -525,7 +604,7 @@ def test_dim4_links_at_bound_39_are_the_pinned_links():
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_drops_only_wall_rejections(dim, bound):
-    kept = set(_survivors(dim, bound, 1, bound))
+    kept = {ws for ws, _ in _survivors(dim, bound, 1, bound)}
     dropped = [ws for ws in literal_blowup_survivors(dim, bound) if ws not in kept]
     assert dropped
     for ws in dropped:
@@ -763,8 +842,9 @@ def test_over_budget_refused_before_any_scan(no_scan, dim, bound, message):
 def test_stabilize_budget_applies_at_twice_the_bound(no_scan):
     with pytest.raises(ValueError, match="bound 256"):
         classify_stable(4, 128)
-    with pytest.raises(ValueError, match="bound 132 is over budget"):
+    with pytest.raises(ValueError, match="bound 132 is over budget") as exc:
         classify_stable(4, 66)
+    assert "its largest bound is 65 in dimension 4 and 85 in dimension 3" in str(exc.value)
     with pytest.raises(ValueError, match="bound 172 is over budget"):
         classify_stable(3, 86)
 
@@ -788,19 +868,30 @@ def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
         assert admitted == expected.get(dim, []), dim
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
-def test_scan_builds_each_table_once(monkeypatch, dim, bound):
-    """A serial scan builds one table per index up to dim * bound - 1."""
-    real = SCAN._residue_table
-    built = []
+def test_scan_builds_each_table_once(monkeypatch, tmp_path, dim, bound, jobs):
+    """Each scanning process builds one table per index up to dim * bound - 1.
+
+    Every process writes its builds to one file, each line tagged with its
+    pid, so the child's builds reach the test too.
+    """
+    real, log = SCAN._residue_table, tmp_path / "tables.log"
 
     def record(r, n, top):
-        built.append((r, n, top))
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {r} {n} {top}\n")
         return real(r, n, top)
 
     monkeypatch.setattr(SCAN, "_residue_table", record)
-    _survivors(dim, bound, 1, bound)
-    assert built == [(r, dim, bound) for r in range(2, dim * bound)]
+    _survivors(dim, bound, jobs, bound)
+    built = {}
+    for line in log.read_text().splitlines():
+        pid, *entry = map(int, line.split())
+        built.setdefault(pid, []).append(tuple(entry))
+    assert os.getpid() in built and len(built) == jobs
+    for tables in built.values():
+        assert tables == [(r, dim, bound) for r in range(2, dim * bound)]
 
 
 def held_after_scan(scan):
@@ -871,14 +962,59 @@ def assert_no_process_left():
 @pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 16)])
 def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
-    """jobs - 1 children and the parent give the serial scan, sorted."""
+    """jobs - 1 children and the parent give the serial scan and its links, sorted."""
     scan = _survivors(dim, bound, 1, bound)
-    assert scan == sorted(scan)
+    assert [ws for ws, _ in scan] == sorted(ws for ws, _ in scan)
     assert _survivors(dim, bound, jobs, bound) == scan
     assert_no_process_left()
     run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
     assert run.jobs == 2 and serial.jobs == 1
     assert run == ClassificationRun(dim, bound, serial.links, 2)
+    assert_no_process_left()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("dim, top, bound", [(3, 40, 40), (4, 16, 16), (4, 32, 16)])
+def test_each_process_links_its_own_survivors(two_cpus, dim, top, bound, jobs):
+    """The forked scan gives the serial survivors and links, and the cut scan its flag.
+
+    Each survivor carries the link ``build_link`` gives it, or None.  Above
+    the cut each process stops at its own first accepted tuple, so only
+    the survivors up to the cut, and whether one above it is accepted,
+    match the serial scan.
+    """
+    serial = _survivors(dim, top, 1, bound)
+    forked = _survivors(dim, top, jobs, bound)
+    assert_no_process_left()
+    for ws, link in forked:
+        result = build_link(ws, dim)
+        assert link == (result if isinstance(result, Link) else None), ws
+
+    def split(scan):
+        kept = [(ws, link) for ws, link in scan if ws[-1] <= bound]
+        return kept, not any(link for ws, link in scan if ws[-1] > bound)
+
+    assert split(forked) == split(serial)
+    run, flag = SCAN._classify(dim, bound, top, jobs)
+    kept, stable = split(serial)
+    assert run.links == {ws: link for ws, link in kept if link is not None}
+    assert flag is stable is (top == bound)
+    assert_no_process_left()
+
+
+def test_a_child_whose_build_link_raises_fails_the_scan(two_cpus, monkeypatch):
+    """``build_link`` runs in the process that found the survivor; in a child it fails the scan."""
+    parent, real = os.getpid(), SCAN.build_link
+
+    def fail_in_child(ws, dim):
+        if os.getpid() != parent:
+            raise ArithmeticError(f"build_link failed in the child at {ws[:2]}")
+        return real(ws, dim)
+
+    monkeypatch.setattr(SCAN, "build_link", fail_in_child)
+    message = r"failed with exit code 1: ArithmeticError\('build_link failed in the child at \(1, 2\)'\)"
+    with pytest.raises(RuntimeError, match=message):
+        _survivors(4, 16, 2, 16)
     assert_no_process_left()
 
 

@@ -303,6 +303,18 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "a dim-4 scan at bound 256 is over budget: the largest bound is 130" in err
 
+    @pytest.mark.parametrize("dim, bound, scanned", [(4, 66, 132), (3, 86, 172)])
+    def test_stabilize_over_budget_names_its_largest_bound(self, scans, capsys, dim, bound, scanned):
+        """One step over the largest bound that stabilizes: the error says why."""
+        argv = ["classify", "--dim", str(dim), "--bound", str(bound), "--stabilize"]
+        code, text = run_cli(argv)
+        assert code == 2
+        assert text == "" and scans == []
+        err = capsys.readouterr().err
+        assert f"bound {scanned} is over budget" in err
+        assert f"--stabilize scans at twice the bound it is given ({bound})" in err
+        assert "its largest bound is 65 in dimension 4 and 85 in dimension 3" in err
+
     def test_stabilize_echoes_the_workers_of_its_scan(self, scans, monkeypatch):
         # 2 partitions at bound 2 but 4 at bound 4, where the scan runs
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
@@ -487,14 +499,17 @@ def test_bound_help_shows_default_and_largest_bounds(command, capsys, monkeypatc
     with pytest.raises(SystemExit):
         main([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "default: 64 in dim 3, 39 in dim 4; at most 170 and 130" in text
+    assert (
+        "default: 64 in dim 3, 39 in dim 4; at most 170 and 130 (85 and 65 with "
+        "classify --stabilize, which scans at twice the bound)"
+    ) in text
     # built from the tables, not written out
     monkeypatch.setattr("wblinks.cli.DEFAULT_BOUNDS", {3: 11, 4: 12})
     monkeypatch.setattr("wblinks.cli.MAX_BOUNDS", {3: 13, 4: 14})
     with pytest.raises(SystemExit):
         main([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "default: 11 in dim 3, 12 in dim 4; at most 13 and 14" in text
+    assert "default: 11 in dim 3, 12 in dim 4; at most 13 and 14 (6 and 7 with" in text
 
 
 @pytest.mark.parametrize("command", ["classify", "report"])

@@ -1,3 +1,5 @@
+import marshal
+
 import pytest
 
 from wblinks import (
@@ -13,7 +15,23 @@ from wblinks import (
     is_terminal_cqs,
     is_terminal_wps,
 )
+from wblinks.link import _link_fields, _link_from_fields
 from reference import wall_flip_weights
+
+
+@pytest.mark.parametrize("weights, end", [
+    ((1, 2, 5, 17), DivContraction),
+    ((1, 1, 1, 2), DivContraction),
+    ((2, 3, 5, 5), Fibration),
+    (None, None),
+])
+def test_link_fields_round_trip_through_marshal(weights, end):
+    """A forked scan sends each link as its fields; the parent rebuilds the same link."""
+    link = None if weights is None else build_link(weights, 4)
+    if end is not None:
+        assert type(link.end) is end
+    data = marshal.dumps(_link_fields(link))
+    assert _link_from_fields(marshal.loads(data)) == link
 
 
 def test_interior_walls():
