@@ -20,8 +20,9 @@ Soundness: the scan drops only tuples that ``build_link`` would reject at
 the interior, blowup or wall stage, and every survivor is re-run through
 those three stages, which are the whole of acceptance (a divisorial end's
 target is terminal by the proof in ``wblinks.link``).  Each scanning
-process builds its own tables and runs ``build_link`` on its own
-survivors, so a survivor is re-checked in the process that found it.  The
+process builds its own tables and runs ``build_link`` once on each of its
+own survivors, so a survivor is re-checked in the process that found it,
+and only the ones it accepts leave that process.  The
 scan's blowup and wall tests are packed: both sum rows of the one
 ``_residue_table`` of each index and test every k of the residue-sum
 criterion with one mask; the row rule, the per-head wall sums and the
@@ -61,7 +62,7 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
 # blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
 # Measured in process with Python 3.11, the scan's tables (built by
-# ``_linked_share``, one list in each scanning process) hold 33.7 MiB as
+# ``_scan_partition``, one list in each scanning process) hold 33.7 MiB as
 # Python objects in a serial dimension-3 scan at 170, and 28.0 MiB in
 # dimension 4 at 130; those scans peak at 50.5 MB and 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
@@ -172,10 +173,24 @@ def _walls_terminal(ws: tuple[int, ...], tables, sums, memo) -> bool:
     return True
 
 
-def _scan_partition(
-    dim: int, bound: int, heads, tables, cut: int
-) -> list[tuple[int, ...]]:
-    """Candidates (*head, c, d), head in heads, c <= d <= bound, that survive.
+def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
+    """One process's share of the scan: each survivor that ``build_link``
+    accepts, as (ws, link), for the candidates (*head, c, d), head in
+    heads, c <= d <= bound.
+
+    The process builds its own tables, ``tables[r]`` =
+    ``_residue_table(r, dim, bound)`` for every index r = 2, ...,
+    dim * bound - 1 (0 and 1 are unused).  The blowup test reads
+    ``tables[sum(head) + S - 1]`` once per head and S = c + d, which runs
+    up to dim * bound - 1, where every weight is the bound; the wall test
+    reads ``tables[e]`` at each flip entry e > 1, at most bound - 1, and
+    the bound's rows hold every residue mod e.  The blowup test sums dim
+    terms and a flip has at most dim + 1 nonzero ones, and a table for n
+    terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
+    every index in that range.  The list takes about 7 * B**3 bytes at
+    bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
+    B = 40 and 6.1 MiB at B = 78.  The tables go once the share is
+    scanned, before the survivors at or below the cut are linked.
 
     Index-major: the blowup index V = sum(head) + S - 1 depends only on the
     head and on S = c + d, so for each head the loop runs over S =
@@ -217,16 +232,20 @@ def _scan_partition(
     no test per candidate, and neither rule nor the memo changes the
     survivors.
 
-    Every survivor with top weight <= cut is kept.  A survivor above the
-    cut is kept only until one is found that ``build_link`` accepts, its
-    witness: from then on the scan runs at bound cut.  It skips the heads
-    with top weight above the cut, and its ranges of S and c shrink to
-    d <= cut.  Survivors above the cut that ``build_link`` rejects are kept
-    too, so the caller decides on each one; only an accepted tuple stops
-    the search above the cut.  At cut == bound no survivor is above the
-    cut, so that is the plain scan at the bound.
+    Each survivor runs through ``build_link`` once.  Those with top weight
+    <= cut are linked after the loop, with the tables gone.  One above the
+    cut is linked where it is found: a rejected one is dropped, and the
+    first accepted one, the witness, is kept, and from then on the scan
+    runs at bound cut.  It skips the heads with top weight above the cut,
+    and its ranges of S and c shrink to d <= cut.  So the list holds every
+    accepted tuple up to the cut, and above it at most the witness.  At
+    cut == bound no survivor is above the cut, so that is the plain scan
+    at the bound.
     """
-    out = []
+    tables = [None, None] + [
+        _residue_table(r, dim, bound) for r in range(2, dim * bound)
+    ]
+    found, out = [], []
     top = bound  # the scan's bound: cut once a witness is found
     for head in heads:
         if head[-1] > top:
@@ -251,53 +270,26 @@ def _scan_partition(
                     ws = head + (c, S - c)
                     if _walls_terminal(ws, tables, sums, memo):
                         if S - c <= cut:
-                            out.append(ws)
-                        elif top > cut:
-                            out.append(ws)
-                            if isinstance(build_link(ws, dim), Link):
-                                top = cut
-    return out
-
-
-def _linked_share(dim: int, bound: int, heads, cut: int) -> list:
-    """One process's share of the scan: its survivors, each with its link or None.
-
-    The process builds its own tables, ``tables[r]`` =
-    ``_residue_table(r, dim, bound)`` for every index r = 2, ...,
-    dim * bound - 1 (0 and 1 are unused).  The blowup test reads
-    ``tables[sum(head) + S - 1]`` once per head and S = c + d, which runs
-    up to dim * bound - 1, where every weight is the bound; the wall test
-    reads ``tables[e]`` at each flip entry e > 1, at most bound - 1, and
-    the bound's rows hold every residue mod e.  The blowup test sums dim
-    terms and a flip has at most dim + 1 nonzero ones, and a table for n
-    terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
-    every index in that range.  The list takes about 7 * B**3 bytes at
-    bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
-    B = 40 and 6.1 MiB at B = 78.  The tables go once the share is
-    scanned, before ``build_link`` runs on each survivor; the link is None
-    where ``build_link`` rejects the survivor.
-    """
-    tables = [None, None] + [
-        _residue_table(r, dim, bound) for r in range(2, dim * bound)
-    ]
-    found = _scan_partition(dim, bound, heads, tables, cut)
+                            found.append(ws)
+                        elif top > cut and isinstance(link := build_link(ws, dim), Link):
+                            out.append((ws, link))
+                            top = cut
     del tables
-    return [(ws, link if isinstance(link := build_link(ws, dim), Link) else None)
-            for ws in found]
+    return out + [(ws, link) for ws in found if isinstance(link := build_link(ws, dim), Link)]
 
 
 def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
-    """The scan's survivors, sorted, each with its link or None, from jobs processes.
+    """The scan's accepted (ws, link) pairs, sorted, from jobs processes.
 
     This function owns the scan's processes: it builds the heads, forks
     jobs - 1 children, which inherit them, and scans a share itself, so a
     serial scan forks nothing.  Process i of 0, ..., jobs - 1 (0 is the
-    parent) makes one ``_linked_share`` call on the interleaved heads
+    parent) makes one ``_scan_partition`` call on the interleaved heads
     ``heads[i::jobs]``, which spreads the costly heads of large weights
     evenly.  Each process builds its own tables after the fork and runs
-    ``build_link`` on each of its own survivors, so the children start
-    with no tables to copy and the parent links only its own share.  A
-    child writes its pairs to its own pipe as ``marshal`` bytes, each link
+    ``build_link`` once on each of its own survivors, so the children
+    start with no tables to copy and the parent links only its own share.
+    A child writes its pairs to its own pipe as ``marshal`` bytes, each link
     as ``link._link_fields`` writes it, and always leaves by ``os._exit``:
     0 once it is written, 1 on any exception, whose ``repr`` it writes to
     the pipe instead.  So it never flushes the parent's buffers or runs
@@ -310,11 +302,11 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
     The parent merges the lists and sorts them once by the tuple, so the
     order does not depend on the split.
 
-    The cut goes to every process: each keeps all of its survivors with
+    The cut goes to every process: each keeps every accepted tuple with
     top weight <= cut, and stops looking above the cut at its own first
-    accepted one (see ``_scan_partition``).  So the list holds every
-    survivor above the cut only when ``build_link`` accepts none of them,
-    and each process then scans its whole share.  A plain scan at the
+    accepted one (see ``_scan_partition``).  So the list holds at most
+    one pair above the cut from each process, and none only when
+    ``build_link`` accepts no survivor above it.  A plain scan at the
     bound passes cut == bound and has no survivor above the cut.
     """
     heads = _partitions(dim, bound)
@@ -336,7 +328,7 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
                         try:
                             data = marshal.dumps([
                                 (ws, _link_fields(link))
-                                for ws, link in _linked_share(dim, bound, heads[i::jobs], cut)
+                                for ws, link in _scan_partition(dim, bound, heads[i::jobs], cut)
                             ])
                         except BaseException as exc:
                             pipe.write(repr(exc).encode())
@@ -347,7 +339,7 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
                     os._exit(status)
             os.close(w)
             pending[pid] = open(r, "rb")
-        out = _linked_share(dim, bound, heads[::jobs], cut)
+        out = _scan_partition(dim, bound, heads[::jobs], cut)
         for pid, pipe in list(pending.items()):
             with pipe:
                 data = pipe.read()
@@ -558,15 +550,15 @@ def _classify(
 ) -> tuple[ClassificationRun, bool]:
     """One scan at top >= bound with its cut at bound: the run at bound and its flag.
 
-    The scan keeps every survivor with top weight <= bound and looks above
+    The scan links every survivor with top weight <= bound and looks above
     the bound only for one that ``build_link`` accepts (see
     ``_survivors``).  The run keeps the links with top weight <= bound,
-    and the flag is True iff ``build_link`` accepts no survivor above the
-    bound.  At top == bound there is none, and the flag is True.  A top
-    over budget is refused with the largest bound that can stabilize.  The
-    links are the ones ``_survivors`` returns, built in the process that
-    found each survivor.  The bound is checked before top, so a bound
-    below 2 is refused as such.
+    and the flag is True iff the scan returns none above the bound.  At
+    top == bound there is none, and the flag is True.  A top over budget
+    is refused with the largest bound that can stabilize.  The links are
+    the ones ``_survivors`` returns, built in the process that found each
+    survivor.  The bound is checked before top, so a bound below 2 is
+    refused as such.
     """
     _check_scan(dim, bound)
     try:
@@ -578,6 +570,6 @@ def _classify(
             f"{MAX_BOUNDS[3] // 2} in dimension 3"
         ) from None
     jobs = worker_count(jobs, dim, top)
-    links = {ws: link for ws, link in _survivors(dim, top, jobs, bound) if link is not None}
+    links = dict(_survivors(dim, top, jobs, bound))
     kept = {ws: link for ws, link in links.items() if ws[-1] <= bound}
     return ClassificationRun(dim, bound, kept, jobs), len(kept) == len(links)

@@ -155,10 +155,12 @@ def _out_path(path: str) -> str:
     """The --out path, checked before any scan.
 
     Raises ValueError, which ``main`` reports with exit code 2, unless the
-    path's directory exists and is writable and the path is not a
-    directory, so that a scan never runs for an output it cannot write.
-    The file itself is created only once the scan is done.
+    path is not empty, its directory exists and is writable and the path
+    is not a directory, so that a scan never runs for an output it cannot
+    write.  The file itself is created only once the scan is done.
     """
+    if not path:
+        raise ValueError("--out must name a file, not an empty path")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ValueError(f"--out directory does not exist: {parent}")
@@ -241,7 +243,7 @@ def render_report(run) -> str:
 def cmd_classify(args, out) -> int:
     started = time.perf_counter()
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
-    path = _out_path(args.out) if args.out else None
+    path = _out_path(args.out) if args.out is not None else None
     if args.stabilize:
         run, stabilized = classify_stable(args.dim, bound, jobs=args.jobs)
     else:

@@ -84,21 +84,17 @@ class Rejected(Record):
 LinkResult = Link | Rejected
 
 
-def _link_fields(link: Link | None):
-    """A link as plain tuples that ``marshal`` writes, or None: ``_link_from_fields`` inverts it.
+def _link_fields(link: Link):
+    """A link as plain tuples that ``marshal`` writes: ``_link_from_fields`` inverts it.
 
     The fields are the steps as (wall, flip_weights) and the end's field
     tuple: two fields for a ``Fibration``, three for a ``DivContraction``.
     """
-    if link is None:
-        return None
     return tuple(step._astuple for step in link.steps), link.end._astuple
 
 
-def _link_from_fields(fields) -> Link | None:
-    """The link that ``_link_fields`` wrote, or None."""
-    if fields is None:
-        return None
+def _link_from_fields(fields) -> Link:
+    """The link that ``_link_fields`` wrote."""
     steps, end = fields
     end_type = Fibration if len(end) == 2 else DivContraction
     return Link(tuple(FlipStep(*step) for step in steps), end_type(*end))

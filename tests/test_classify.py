@@ -209,17 +209,19 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
     With every blowup table's mask set to 0 the packed blowup test passes
     every candidate, so the wall test sees each candidate the scan tests.
     """
-    tested = []
+    real, tested = SCAN._residue_table, []
+
+    def unmasked(r, n, top):
+        P, K, _ = real(r, n, top)
+        return P, K, 0
 
     def record(ws, tables, sums, memo):
         tested.append(ws)
         return False
 
+    monkeypatch.setattr(SCAN, "_residue_table", unmasked)
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
-    tables = [None, None] + [
-        (P, K, 0) for P, K, _ in (SCAN._residue_table(r, dim, bound) for r in range(2, dim * bound))
-    ]
-    SCAN._scan_partition(dim, bound, SCAN._partitions(dim, bound), tables, bound)
+    SCAN._scan_partition(dim, bound, SCAN._partitions(dim, bound), bound)
     interior = [
         ws for ws in combinations_with_replacement(range(1, bound + 1), dim)
         if (dim + 1) * ws[-2] > sum(ws) - 1
@@ -894,6 +896,38 @@ def test_scan_builds_each_table_once(monkeypatch, tmp_path, dim, bound, jobs):
         assert tables == [(r, dim, bound) for r in range(2, dim * bound)]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("dim,top,cut", [(4, 40, 40), (4, 32, 16)])
+def test_scan_links_each_returned_pair_once(two_cpus, monkeypatch, tmp_path, dim, top, cut, jobs):
+    """Every scanning process calls ``build_link`` once per pair it returns.
+
+    Each call is logged with its pid, so the child's calls reach the test
+    too.  At (4, 32) with the cut at 16 each process links its survivors
+    above the cut as it finds them, up to its witness, and the ones at or
+    below the cut after its scan; no survivor is linked twice.
+    """
+    real, log = SCAN.build_link, tmp_path / "links.log"
+
+    def record(ws, n):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {' '.join(map(str, ws))}\n")
+        return real(ws, n)
+
+    monkeypatch.setattr(SCAN, "build_link", record)
+    pairs = _survivors(dim, top, jobs, cut)
+    assert_no_process_left()
+    linked = {}
+    for line in log.read_text().splitlines():
+        pid, *ws = map(int, line.split())
+        linked.setdefault(pid, []).append(tuple(ws))
+    assert os.getpid() in linked and len(linked) == jobs
+    calls = sorted(ws for share in linked.values() for ws in share)
+    assert calls == [ws for ws, _ in pairs]
+    assert len(set(calls)) == len(calls)
+    above = [ws for ws in calls if ws[-1] > cut]
+    assert len(above) == (0 if cut == top else jobs)
+
+
 def held_after_scan(scan):
     """The share of a scan's peak traced memory still held when it returns.
 
@@ -978,26 +1012,25 @@ def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
 def test_each_process_links_its_own_survivors(two_cpus, dim, top, bound, jobs):
     """The forked scan gives the serial survivors and links, and the cut scan its flag.
 
-    Each survivor carries the link ``build_link`` gives it, or None.  Above
-    the cut each process stops at its own first accepted tuple, so only
-    the survivors up to the cut, and whether one above it is accepted,
-    match the serial scan.
+    Each pair carries the ``Link`` that ``build_link`` gives its tuple.
+    Above the cut each process stops at its own first accepted tuple, so
+    only the pairs up to the cut, and whether one is above it, match the
+    serial scan.
     """
     serial = _survivors(dim, top, 1, bound)
     forked = _survivors(dim, top, jobs, bound)
     assert_no_process_left()
     for ws, link in forked:
-        result = build_link(ws, dim)
-        assert link == (result if isinstance(result, Link) else None), ws
+        assert isinstance(link, Link) and link == build_link(ws, dim), ws
 
     def split(scan):
         kept = [(ws, link) for ws, link in scan if ws[-1] <= bound]
-        return kept, not any(link for ws, link in scan if ws[-1] > bound)
+        return kept, len(kept) == len(scan)
 
     assert split(forked) == split(serial)
     run, flag = SCAN._classify(dim, bound, top, jobs)
     kept, stable = split(serial)
-    assert run.links == {ws: link for ws, link in kept if link is not None}
+    assert run.links == dict(kept)
     assert flag is stable is (top == bound)
     assert_no_process_left()
 

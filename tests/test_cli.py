@@ -259,6 +259,12 @@ class TestClassify:
         assert text == "" and scans == []
         assert "error: --out is not a writable file path" in capsys.readouterr().err
 
+    def test_empty_out_exits_2_before_any_scan(self, scans, capsys):
+        code, text = run_cli(["classify", "--dim", "3", "--bound", "8", "--out", ""])
+        assert code == 2
+        assert text == "" and scans == []
+        assert capsys.readouterr().err == "error: --out must name a file, not an empty path\n"
+
     def test_over_budget_with_out_exits_2_and_creates_no_file(
         self, scans, capsys, tmp_path
     ):
