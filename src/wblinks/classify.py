@@ -17,19 +17,19 @@ up to B: above B it looks for one accepted tuple, and each process that
 finds one scans the rest of its share at B.
 
 Soundness: the scan drops only tuples that ``build_link`` would reject at
-the interior, blowup or wall stage, and every survivor is re-run through
-those three stages, which are the whole of acceptance (a divisorial end's
-target is terminal by the proof in ``wblinks.link``).  Each scanning
-process builds its own tables and runs ``build_link`` once on each of its
-own survivors, so a survivor is re-checked in the process that found it,
-and only the ones it accepts leave that process.  The
-scan's blowup and wall tests are packed: both sum rows of the one
-``_residue_table`` of each index and test every k of the residue-sum
-criterion with one mask; the row rule, the per-head wall sums and the
-per-head memo of flip sums of ``_scan_partition`` are parts of those
-same tests.  A head's memo
-lives only while its candidates are scanned, so it holds nothing of
-another head and crosses neither the fork nor the cut.
+the interior, blowup or wall stage, and every tuple it returns has been
+re-run through those three stages, which are the whole of acceptance (a
+divisorial end's target is terminal by the proof in ``wblinks.link``).
+Each scanning process builds its own tables and runs ``build_link`` at
+most once on each of its own survivors, so a survivor is re-checked in
+the process that found it, and only the ones it accepts leave that
+process.  The scan's blowup and wall tests are packed: both sum rows of
+the one ``_residue_table`` of each index and test every k of the
+residue-sum criterion with one mask; the row rule, the per-head wall
+sums and the per-head memo of flip sums of ``_scan_partition`` are parts
+of those same tests.  A head's memo lives only while its candidates are
+scanned, so it holds nothing of another head and crosses neither the
+fork nor the cut.
 ``build_link`` re-checks the blowup and every wall with the scalar
 residue-sum loop, which shares no code with the packed test; both test
 each flip at its own entries > 1 (see ``is_terminal_wps``).  So a scan bug
@@ -174,9 +174,9 @@ def _walls_terminal(ws: tuple[int, ...], tables, sums, memo) -> bool:
 
 
 def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
-    """One process's share of the scan: each survivor that ``build_link``
-    accepts, as (ws, link), for the candidates (*head, c, d), head in
-    heads, c <= d <= bound.
+    """One process's share of the scan: (ws, link) for each survivor ``build_link`` accepts.
+
+    The candidates are (*head, c, d), head in heads, c <= d <= bound.
 
     The process builds its own tables, ``tables[r]`` =
     ``_residue_table(r, dim, bound)`` for every index r = 2, ...,
@@ -187,7 +187,7 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     the bound's rows hold every residue mod e.  The blowup test sums dim
     terms and a flip has at most dim + 1 nonzero ones, and a table for n
     terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
-    every index in that range.  The list takes about 7 * B**3 bytes at
+    every index in that range.  The tables take about 7 * B**3 bytes at
     bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
     B = 40 and 6.1 MiB at B = 78.  The tables go once the share is
     scanned, before the survivors at or below the cut are linked.
@@ -205,8 +205,7 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     ``_walls_terminal``, on the same tables, runs last on the blowup
     survivors: about one candidate in ten at bound 40 in dimension 4.
     ``build_link`` re-checks each survivor with the scalar loop, which
-    shares no code with the packed tests.  The list is in scan order;
-    ``_survivors`` sorts.
+    shares no code with the packed tests.  ``_survivors`` sorts the pairs.
 
     Two parts of those tests act once per row or head, not per candidate.
     The row rule is the criterion at k = V/2 for an even V: a weight has
@@ -232,15 +231,15 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     no test per candidate, and neither rule nor the memo changes the
     survivors.
 
-    Each survivor runs through ``build_link`` once.  Those with top weight
-    <= cut are linked after the loop, with the tables gone.  One above the
-    cut is linked where it is found: a rejected one is dropped, and the
-    first accepted one, the witness, is kept, and from then on the scan
-    runs at bound cut.  It skips the heads with top weight above the cut,
-    and its ranges of S and c shrink to d <= cut.  So the list holds every
-    accepted tuple up to the cut, and above it at most the witness.  At
-    cut == bound no survivor is above the cut, so that is the plain scan
-    at the bound.
+    No survivor runs through ``build_link`` twice.  Those with top weight
+    <= cut are linked once each, after the loop, with the tables gone.
+    Above the cut each survivor is linked where it is found, until one is
+    accepted, the witness: a rejected one is dropped, and from the witness
+    on the scan runs at bound cut and links nothing above it.  It skips
+    the heads with top weight above the cut, and its ranges of S and c
+    shrink to d <= cut.  So the list holds every accepted tuple up to the
+    cut, and above it at most the witness.  At cut == bound no survivor is
+    above the cut, so that is the plain scan at the bound.
     """
     tables = [None, None] + [
         _residue_table(r, dim, bound) for r in range(2, dim * bound)
@@ -287,15 +286,16 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
     parent) makes one ``_scan_partition`` call on the interleaved heads
     ``heads[i::jobs]``, which spreads the costly heads of large weights
     evenly.  Each process builds its own tables after the fork and runs
-    ``build_link`` once on each of its own survivors, so the children
-    start with no tables to copy and the parent links only its own share.
-    A child writes its pairs to its own pipe as ``marshal`` bytes, each link
-    as ``link._link_fields`` writes it, and always leaves by ``os._exit``:
-    0 once it is written, 1 on any exception, whose ``repr`` it writes to
-    the pipe instead.  So it never flushes the parent's buffers or runs
-    its ``finally`` clauses or exit handlers.  The parent scans and links
-    its own share before it reads any pipe, then reads each pipe to EOF
-    before it reaps that child and rebuilds the child's links.  A child
+    ``build_link`` at most once on each of its own survivors, so the
+    children start with no tables to copy and the parent links only its
+    own share.  A child writes its accepted pairs to its own pipe as
+    ``marshal`` bytes, each link as ``link._link_fields`` writes it, and
+    always leaves by ``os._exit``: 0 once it is written, 1 on any
+    exception, whose ``repr`` it writes to the pipe instead.  So it never
+    flushes the parent's buffers or runs its ``finally`` clauses or exit
+    handlers.  The parent scans and links its own share before it reads
+    any pipe, then reads each pipe to EOF before it reaps that child and
+    rebuilds the child's links.  A child
     that exits nonzero fails the scan with a ``RuntimeError`` that quotes
     what the child wrote.  A fork that fails closes its pipe.  However the
     scan ends, the ``finally`` kills and reaps every child not yet reaped.
