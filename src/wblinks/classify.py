@@ -25,11 +25,11 @@ most once on each of its own survivors, so a survivor is re-checked in
 the process that found it, and only the ones it accepts leave that
 process.  The scan's blowup and wall tests are packed: both sum rows of
 the one ``_residue_table`` of each index and test every k of the
-residue-sum criterion with one mask; the row rule, the per-head wall
-sums and the per-head memo of flip sums of ``_scan_partition`` are parts
-of those same tests.  A head's memo lives only while its candidates are
-scanned, so it holds nothing of another head and crosses neither the
-fork nor the cut.
+residue-sum criterion with one mask.  The wall test is one test, at
+every entry > 1 of every flip; the row rule and the per-head memo of flip
+sums of ``_scan_partition`` are parts of those same tests.  A head's memo
+lives only while its candidates are scanned, so it holds nothing of
+another head and crosses neither the fork nor the cut.
 ``build_link`` re-checks the blowup and every wall with the scalar
 residue-sum loop, which shares no code with the packed test; both test
 each flip at its own entries > 1 (see ``is_terminal_wps``).  So a scan bug
@@ -123,7 +123,7 @@ def _head_sum(head: tuple[int, ...], v: int, e: int, tables):
     return P, x, high
 
 
-def _walls_terminal(ws: tuple[int, ...], tables, sums, memo) -> bool:
+def _walls_terminal(ws: tuple[int, ...], tables, memo) -> bool:
     """True iff every wall crossing of the ascending candidate ws is terminal.
 
     This is ``is_terminal_wps``'s rule, packed, on each flip: for each
@@ -133,43 +133,30 @@ def _walls_terminal(ws: tuple[int, ...], tables, sums, memo) -> bool:
     is no entry > 1.  That leaves at most dim + 1 nonzero terms, summed at
     each entry e > 1 on the rows of ``tables[e]``.
 
-    The entries > 1 of the flip at v are a - v for head weights a > v + 1,
-    and c - v and d - v, where (c, d) = ws[-2:].  Every term of the flip
-    but c - v and d - v depends only on the head, v and e, so at each
-    entry e the flip's sum is the head's x (``_head_sum``) plus the rows of
-    c - v and d - v.  Both arguments are built once per head by
-    ``_scan_partition``.  sums holds one (v, e, P, x, high) for each entry
-    a - v, and is tested first, with two row lookups.  memo holds (v, row)
-    for each distinct head weight v, ascending; row[e] is None until the
-    first test of a flip at v at the entry e fills it with (P, x, high).
-    Each flip is then tested at its entries c - v and d - v from row[e],
-    with one row lookup each: at e = c - v the row of c - v is P[0] = 0,
-    and at e = d - v the row of d - v is.  Together that is every entry
-    > 1 of every flip, once.
+    The entries > 1 of the flip at v are e = a - v > 1 for a in ws.  Every
+    term of the flip but c - v and d - v, where (c, d) = ws[-2:], depends
+    only on the head, v and e, so at each entry e the flip's sum is the
+    head's x (``_head_sum``) plus the rows of c - v and d - v.  memo,
+    built once per head by ``_scan_partition``, holds (v, row) for each
+    distinct head weight v, ascending; row[e] is None until the first test
+    of a flip at v at the entry e fills it with (P, x, high).  So the one
+    test runs over v ascending, then a in ws, with two row lookups per
+    entry (at e = c - v or d - v one of them is P[0] = 0): every entry > 1
+    of every flip, and a repeated weight's entry once more.
     """
     c, d = ws[-2:]
-    for v, e, P, x, high in sums:
-        if x + P[(c - v) % e] + P[(d - v) % e] & high != high:
-            return False
     for v, row in memo:
         if v >= c:
             break
-        e = c - v
-        if e > 1:
-            m = row[e]
-            if m is None:
-                m = row[e] = _head_sum(ws[:-2], v, e, tables)
-            P, x, high = m
-            if x + P[(d - v) % e] & high != high:
-                return False
-        e = d - v
-        if e > 1:
-            m = row[e]
-            if m is None:
-                m = row[e] = _head_sum(ws[:-2], v, e, tables)
-            P, x, high = m
-            if x + P[(c - v) % e] & high != high:
-                return False
+        for a in ws:
+            e = a - v
+            if e > 1:
+                m = row[e]
+                if m is None:
+                    m = row[e] = _head_sum(ws[:-2], v, e, tables)
+                P, x, high = m
+                if x + P[(c - v) % e] + P[(d - v) % e] & high != high:
+                    return False
     return True
 
 
@@ -216,20 +203,17 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     hold one odd weight; a head with o = 1 takes only odd c at an even S,
     so that c and d = S - c are both odd; and o >= 2 always has three.  The
     rule drops a row before its table is fetched, or steps c by 2.  The
-    wall sums: the flip at a wall v has the entry e = a - v > 1 for each
-    head weight a > v + 1 (b - a at the wall a in dimension 4), and that
-    entry and every term of the flip but c - v and d - v depend only on
-    the head.  Each head sums those rows once, and ``_walls_terminal``
-    tests the sums first, with two row lookups per blowup survivor, and
-    then each flip at its entries c - v and d - v; the wall test has no
-    other path.  The flip entries share the same head-only sum: each head
-    makes a memo with one row per distinct head weight v, indexed by the
-    entry e, and the wall test fills row[e] the first time it tests a flip
-    at v at e.  So each flip entry costs one row lookup, and each (v, e)
-    one sum per head; at bound 40 in dimension 4, 11,798 flip-entry tests
-    fill 2,976 entries.  The memo goes with its head.  The row rule adds
-    no test per candidate, and neither rule nor the memo changes the
-    survivors.
+    memo: the flip at a wall v has the entry e = a - v > 1 for each a in
+    ws, and every term of the flip but c - v and d - v depends only on
+    the head.  So each head makes a memo with one row per distinct head
+    weight v, indexed by e.  ``_walls_terminal`` fills row[e] with the
+    head-only sum the first time it tests a flip at v at e, and tests
+    every entry, c - v, d - v and the head-only ones (b - a at the wall a
+    in dimension 4), with two row lookups; the wall test has no other
+    path.  Each (v, e) costs one sum per head; at bound 40 in dimension 4,
+    21,951 flip-entry tests fill 3,243 entries.  The memo goes with its
+    head.  The row rule adds no test per candidate, and neither rule nor
+    the memo changes the survivors.
 
     No survivor runs through ``build_link`` twice.  Those with top weight
     <= cut are linked once each, after the loop, with the tables gone.
@@ -237,9 +221,10 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     accepted, the witness: a rejected one is dropped, and from the witness
     on the scan runs at bound cut and links nothing above it.  It skips
     the heads with top weight above the cut, and its ranges of S and c
-    shrink to d <= cut.  So the list holds every accepted tuple up to the
-    cut, and above it at most the witness.  At cut == bound no survivor is
-    above the cut, so that is the plain scan at the bound.
+    shrink to d <= cut; the witness's own head stops at S = 2 * cut.  So
+    the list holds every accepted tuple up to the cut, and above it at
+    most the witness.  At cut == bound no survivor is above the cut, so
+    that is the plain scan at the bound.
     """
     tables = [None, None] + [
         _residue_table(r, dim, bound) for r in range(2, dim * bound)
@@ -251,10 +236,10 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
             continue
         h = sum(head)
         odd = sum(a & 1 for a in head)
-        sums = [(v, e, *_head_sum(head, v, e, tables))
-                for v, e in sorted({(v, a - v) for v in head for a in head if a - v > 1})]
         memo = [(v, [None] * top) for v in sorted(set(head))]
         for S in range(2 * head[-1], 2 * top + 1, 1 + (odd == 0)):
+            if S > 2 * top:
+                break
             P, K, high = tables[h + S - 1]
             base = K
             for a in head:
@@ -267,7 +252,7 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
             for c in range(low, S // 2 + 1, step):
                 if base + P[c] + P[S - c] & high == high:
                     ws = head + (c, S - c)
-                    if _walls_terminal(ws, tables, sums, memo):
+                    if _walls_terminal(ws, tables, memo):
                         if S - c <= cut:
                             found.append(ws)
                         elif top > cut and isinstance(link := build_link(ws, dim), Link):

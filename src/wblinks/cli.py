@@ -6,7 +6,8 @@ plain table.  `report` is `classify` written as a Markdown table.
 Exit codes: 0 success (a rejected link is a valid answer), 2 input error,
 3 when --expect is given and the classification count differs.  An input
 error is any ValueError: the CLI raises one for its own limits
-(``MAX_WEIGHTS``, ``MAX_INDEX``, ``--out``) and passes on the library's.
+(``MAX_WEIGHTS``, ``MAX_INDEX``, ``--out``, ``--expect``) and passes on the
+library's.
 """
 
 from __future__ import annotations
@@ -244,6 +245,8 @@ def cmd_classify(args, out) -> int:
     started = time.perf_counter()
     bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[args.dim]
     path = _out_path(args.out) if args.out is not None else None
+    if args.expect is not None and args.expect < 0:
+        raise ValueError(f"--expect must be a count >= 0, got {args.expect}")
     if args.stabilize:
         run, stabilized = classify_stable(args.dim, bound, jobs=args.jobs)
     else:

@@ -12,9 +12,9 @@ test compares two independent derivations:
 - the flip weights at a wall, read off the Cox coordinates as in the
   ``wblinks.link`` module docstring, without ``link._flip_weights``;
 - the degree inequalities of a weak Fano T, cleared of roots;
-- the packed wall test at every entry > 1 of every flip, without the
-  per-head sums that the scan's one wall test (``_walls_terminal``)
-  splits off;
+- the packed wall test at every entry > 1 of every flip, each summed
+  afresh, without the per-head memo of head-only sums that the scan's
+  one wall test (``_walls_terminal``) fills;
 - the unpruned enumerator, which runs ``build_link`` on every ascending
   tuple, without the scan.
 """

@@ -127,62 +127,63 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     walls would hide it.  Each packed answer is recorded during the scan
     and compared with the scalar one after it.  It is also the answer of
     ``reference.packed_walls_terminal``, which tests each flip at all its
-    entries without the per-head sums; the sums hold one entry a - v > 1
-    for each pair v < a of head weights, and at_head survivors are
-    rejected by the sums alone (dimension 3 has no such pair).
+    entries without the memo.  A flip at a head weight v has the
+    head-only entry a - v > 1 for each head weight a > v + 1, and at_head
+    survivors fail the criterion at one of those (dimension 3 has none).
     """
     real = SCAN._walls_terminal
     seen = []
 
-    def record(ws, tables, sums, memo):
-        c, d = ws[-2:]
-        early = any(x + P[(c - v) % e] + P[(d - v) % e] & high != high for v, e, P, x, high in sums)
-        pairs = {(v, e) for v, e, *_ in sums}
-        seen.append((ws, real(ws, tables, sums, memo), packed_walls_terminal(ws, tables), early, pairs))
+    def record(ws, tables, memo):
+        head = ws[:-2]
+        early = any(
+            not is_terminal_cqs([w - v for w in ws] + [-1, -v], a - v)
+            for v, a in combinations(head, 2) if a - v > 1
+        )
+        seen.append((ws, real(ws, tables, memo), packed_walls_terminal(ws, tables), early))
         return seen[-1][1]
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     _survivors(dim, bound, 1, bound)
     assert len(seen) == tested
     assert tuple(sorted(ws for ws, *_ in seen)) == literal_blowup_survivors(dim, bound)
-    for ws, packed, full, early, pairs in seen:
+    for ws, packed, full, early in seen:
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
         assert packed == full == scalar, ws
-        assert pairs == {(v, a - v) for v, a in combinations(ws[:-2], 2) if a - v > 1}, ws
         assert not (early and packed), ws
-    assert sum(early for *_, early, _ in seen) == at_head
+    assert sum(early for *_, early in seen) == at_head
 
 
-@pytest.mark.parametrize("dim,bound,tested,filled", [(4, 40, 11798, 2976), (5, 12, 7553, 2035)])
+@pytest.mark.parametrize("dim,bound,tested,filled", [(4, 40, 21951, 3243), (5, 12, 11071, 2215)])
 def test_wall_memo_holds_each_heads_flip_sums(monkeypatch, dim, bound, tested, filled):
     """Each head's memo holds the head-only sum of each flip entry its candidates tested.
 
-    A flip entry e = c - v or d - v is tested, ascending in v and c - v
-    first, once the head sums pass and until the first failure; the hook
-    replays that order with the scalar criterion.  After each call the
-    head's memo holds exactly the (v, e) tested so far for that head, each
-    as (P, x, high) of the table at e, with x the offset plus the rows of
-    -1, -v and w - v over the head, summed afresh here.  A head's memo is
-    its own, made once, with one row per distinct head weight.
+    A flip entry e = a - v > 1 is tested for each distinct head weight
+    v < c, ascending, then each a in ws, in order, until the first
+    failure; the hook replays that order with the scalar criterion.  After
+    each call the head's memo holds exactly the (v, e) tested so far for
+    that head, each as (P, x, high) of the table at e, with x the offset
+    plus the rows of -1, -v and w - v over the head, summed afresh here.
+    A head's memo is its own, made once, with one row per distinct head
+    weight.
     """
     real = SCAN._walls_terminal
     memos, entries = {}, {}  # head -> its memo; head -> the (v, e) tested so far
     count = 0
 
-    def record(ws, tables, sums, memo):
+    def record(ws, tables, memo):
         nonlocal count
-        head, (c, d) = ws[:-2], ws[-2:]
+        head, c = ws[:-2], ws[-2]
         assert memos.setdefault(head, memo) is memo, ws
         assert [v for v, _ in memo] == sorted(set(head)), ws
-        packed = real(ws, tables, sums, memo)
-        if all(x + P[(c - v) % e] + P[(d - v) % e] & high == high for v, e, P, x, high in sums):
-            flips = [(v, e) for v in sorted(set(head)) if v < c for e in (c - v, d - v) if e > 1]
-            for v, e in flips:
-                count += 1
-                entries.setdefault(head, set()).add((v, e))
-                if not is_terminal_cqs([w - v for w in ws] + [-1, -v], e):
-                    break
+        packed = real(ws, tables, memo)
+        flips = [(v, a - v) for v in sorted(set(head)) if v < c for a in ws if a - v > 1]
+        for v, e in flips:
+            count += 1
+            entries.setdefault(head, set()).add((v, e))
+            if not is_terminal_cqs([w - v for w in ws] + [-1, -v], e):
+                break
         filled_now = {(v, e) for v, row in memo for e, m in enumerate(row) if m}
         assert filled_now == entries.get(head, set()), ws
         return packed
@@ -215,7 +216,7 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
         P, K, _ = real(r, n, top)
         return P, K, 0
 
-    def record(ws, tables, sums, memo):
+    def record(ws, tables, memo):
         tested.append(ws)
         return False
 
@@ -736,9 +737,9 @@ def test_stabilize_scans_a_fraction_of_the_walls_above_an_unstable_bound(monkeyp
     """
     real, calls = SCAN._walls_terminal, []
 
-    def record(ws, tables, sums, memo):
+    def record(ws, tables, memo):
         calls.append(ws)
-        return real(ws, tables, sums, memo)
+        return real(ws, tables, memo)
 
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     classify(4, 32)
@@ -746,6 +747,33 @@ def test_stabilize_scans_a_fraction_of_the_walls_above_an_unstable_bound(monkeyp
     calls.clear()
     assert classify_stable(4, 16)[1] is False
     assert full == 6467 and len(calls) < full / 3
+
+
+def test_cut_scan_fetches_no_blowup_row_past_its_cut(monkeypatch):
+    """Once its witness is found, a head's scan stops at S = 2 * cut.
+
+    Each blowup table is unpacked once per row the scan fetches, so the
+    tables log each fetch by ``_scan_partition``.  The serial scan at
+    (4, 32) with the cut at 16 finds its witness (1, 2, 5, 17) part-way
+    through the head (1, 2); the S up to 64 left of that head hold no c
+    with d <= 16, and the 32 rows of them, S = 33, ..., 64, are not
+    fetched: 1,360 rows of the full scan's 10,080.
+    """
+    real, fetched = SCAN._residue_table, []
+
+    class Logged(tuple):
+        def __iter__(self):
+            if sys._getframe(1).f_code.co_name == "_scan_partition":
+                fetched.append(self)
+            return super().__iter__()
+
+    monkeypatch.setattr(SCAN, "_residue_table", lambda r, n, top: Logged(real(r, n, top)))
+    pairs = _survivors(4, 32, 1, 16)
+    assert [ws for ws, _ in pairs if ws[-1] > 16] == [(1, 2, 5, 17)]
+    assert len(pairs) == 229 and len(fetched) == 1360
+    fetched.clear()
+    _survivors(4, 32, 1, 32)
+    assert len(fetched) == 10080
 
 
 @pytest.mark.parametrize("dim, top, bounds", [(3, 64, range(2, 33)), (4, 24, (2, 5, 12))])
@@ -957,7 +985,7 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
     is dropped.
     """
 
-    def fail(ws, tables, sums, memo):
+    def fail(ws, tables, memo):
         raise RuntimeError("wall test failed")
 
     def failing_scan():

@@ -265,6 +265,12 @@ class TestClassify:
         assert text == "" and scans == []
         assert capsys.readouterr().err == "error: --out must name a file, not an empty path\n"
 
+    def test_negative_expect_exits_2_before_any_scan(self, scans, capsys):
+        code, text = run_cli(["classify", "--dim", "3", "--bound", "8", "--expect", "-1"])
+        assert code == 2
+        assert text == "" and scans == []
+        assert capsys.readouterr().err == "error: --expect must be a count >= 0, got -1\n"
+
     def test_over_budget_with_out_exits_2_and_creates_no_file(
         self, scans, capsys, tmp_path
     ):
