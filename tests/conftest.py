@@ -1,4 +1,8 @@
+import os
 import re
+import signal
+
+import pytest
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -19,3 +23,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for n in sorted(lines):
             terminalreporter.write_line(lines[n])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that jobs=2 forks one child, and a 60 s deadline.
+
+    The deadline turns a hung scan into a failure; a forked child does not
+    inherit the alarm.
+    """
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+
+    def expire(signum, frame):
+        raise TimeoutError("the scan did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_process_left():
+    """The scan reaped every child it forked."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

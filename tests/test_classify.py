@@ -3,7 +3,6 @@ import errno
 import importlib
 import json
 import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -40,6 +39,7 @@ from wblinks.classify import (
     worker_count,
 )
 from wblinks.link import STAGE_WALL
+from conftest import assert_no_process_left
 from reference import (
     CyclicQuotient,
     exceptional_patch_types,
@@ -632,9 +632,11 @@ def test_p4_small_bound_contains_derived_set():
     assert expected <= set(run.accepted)
 
 
-def test_deterministic_across_job_counts():
+def test_deterministic_across_job_counts(two_cpus):
     serial = classify(4, 8, jobs=1)
     parallel = classify(4, 8, jobs=4)
+    assert_no_process_left()
+    assert parallel.jobs == 2
     assert serial.accepted == parallel.accepted
     assert serial.shape_counts == parallel.shape_counts
 
@@ -900,7 +902,7 @@ def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
-def test_scan_builds_each_table_once(monkeypatch, tmp_path, dim, bound, jobs):
+def test_scan_builds_each_table_once(two_cpus, monkeypatch, tmp_path, dim, bound, jobs):
     """Each scanning process builds one table per index up to dim * bound - 1.
 
     Every process writes its builds to one file, each line tagged with its
@@ -915,6 +917,7 @@ def test_scan_builds_each_table_once(monkeypatch, tmp_path, dim, bound, jobs):
 
     monkeypatch.setattr(SCAN, "_residue_table", record)
     _survivors(dim, bound, jobs, bound)
+    assert_no_process_left()
     built = {}
     for line in log.read_text().splitlines():
         pid, *entry = map(int, line.split())
@@ -994,31 +997,6 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
 
     monkeypatch.setattr(SCAN, "_walls_terminal", fail)
     assert held_after_scan(failing_scan) < 0.25
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, so that jobs=2 forks one child, and a 60 s deadline.
-
-    The deadline turns a hung scan into a failure; a forked child does not
-    inherit the alarm.
-    """
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
-
-    def expire(signum, frame):
-        raise TimeoutError("the scan did not finish within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_process_left():
-    """The scan reaped every child it forked."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
