@@ -297,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ))
     scan.add_argument("--jobs", type=int, default=1, help=(
         "processes that scan (default: 1), capped by the usable CPUs and by the "
-        "number of heads, and 1 where the platform has no fork"
+        "number of heads, and 1 where the platform has no fork; on Linux each "
+        "starts on its own CPU of the affinity mask"
     ))
 
     p = sub.add_parser("check", help="terminality checks on one weight list")

@@ -29,17 +29,26 @@ def pytest_terminal_summary(terminalreporter):
 def two_cpus(monkeypatch):
     """Two usable CPUs, so that jobs=2 forks one child, and a 60 s deadline.
 
+    The CPUs are faked, so the scan's placement must not reach the kernel:
+    writing {0, 1} would narrow a larger runner's real mask for the rest of
+    the session, and moving onto CPU 1 fails on a one-CPU runner.  So
+    ``os.sched_setaffinity`` only records its calls, and the fixture yields
+    that list of (pid, CPUs) pairs.  A forked child records into its own
+    copy, so the list holds the calling process's calls alone.
+
     The deadline turns a hung scan into a failure; a forked child does not
     inherit the alarm.
     """
+    placed = []
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr("os.sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus))))
 
     def expire(signum, frame):
         raise TimeoutError("the scan did not finish within 60 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
-    yield
+    yield placed
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
 

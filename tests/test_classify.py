@@ -1070,6 +1070,7 @@ def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         classify(4, 16, jobs=2)
     assert_no_process_left()
+    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
 
 
 def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
@@ -1084,6 +1085,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         classify(4, 16, jobs=2)
     assert_no_process_left()
+    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
 
 
 def test_a_failed_fork_closes_its_pipe(two_cpus, monkeypatch):
@@ -1105,23 +1107,91 @@ def test_a_failed_fork_closes_its_pipe(two_cpus, monkeypatch):
     assert exc.value.errno == errno.EAGAIN
     assert len(os.listdir("/proc/self/fd")) == before
     assert_no_process_left()
+    # only the finally allows the whole mask again
+    assert two_cpus == [(0, {0}), (0, {0, 1})]
+
+
+def test_each_process_starts_on_its_own_cpu(two_cpus, monkeypatch, tmp_path):
+    """The parent starts on the first CPU and child i on CPU i mod 2, then each allows both.
+
+    A serial scan makes no affinity call.  Every process logs its calls to
+    one file, since a child's calls stay in the child.
+    """
+    log = tmp_path / "placed"
+
+    def place(pid, cpus):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    real, children = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr("os.sched_setaffinity", place)
+    monkeypatch.setattr(os, "fork", fork)
+    serial = _survivors(4, 16, 1, 16)
+    assert not log.exists()
+    assert _survivors(4, 16, 3, 16) == serial
+    assert_no_process_left()
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, cpus = line.split(" ", 1)
+        calls.setdefault(int(pid), []).append(cpus)
+    assert calls.pop(os.getpid()) == ["[0]", "[0, 1]", "[0, 1]"]
+    assert [calls.pop(pid) for pid in children] == [["[1]", "[0, 1]"], ["[0]", "[0, 1]"]]
+    assert calls == {}
+
+
+def test_a_refused_placement_leaves_the_scan_alone(two_cpus, monkeypatch):
+    """An OSError from placement, in the parent or a child, changes nothing."""
+
+    def refuse(pid, cpus):
+        two_cpus.append((pid, set(cpus)))
+        raise OSError(errno.EINVAL, "no such CPU")
+
+    monkeypatch.setattr("os.sched_setaffinity", refuse)
+    assert _survivors(4, 16, 2, 16) == _survivors(4, 16, 1, 16)
+    assert_no_process_left()
+    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
+
+
+def test_a_platform_without_placement_still_forks(two_cpus, monkeypatch):
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.delattr("os.sched_setaffinity")
+    monkeypatch.setattr(os, "fork", fork)
+    assert _survivors(4, 16, 2, 16) == _survivors(4, 16, 1, 16)
+    assert forks == [1]
+    assert_no_process_left()
 
 
 # Output buffered before the fork and an exit handler must each show once:
 # a child that ran the interpreter's exit would flush and run them again.
+# Nothing is faked, so the scan places its processes on the real CPUs.
 FORKED_SCAN = """
 import atexit, json, os
 from wblinks import classify
 
-os.sched_getaffinity = lambda pid: {0, 1}
 atexit.register(print, "exit handler")
 print("before the scan")
+mask = os.sched_getaffinity(0)
 run = classify(4, 12, jobs=2)
-print(json.dumps({"jobs": run.jobs, "accepted": run.accepted}))
+print(json.dumps({"jobs": run.jobs, "accepted": run.accepted,
+                  "same_mask": os.sched_getaffinity(0) == mask}))
 """
 
 
 def test_forked_children_leave_the_parent_process_alone():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a real two-process scan needs two usable CPUs")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -1131,6 +1201,6 @@ def test_forked_children_leave_the_parent_process_alone():
     first, doc, last = proc.stdout.splitlines()
     assert (first, last) == ("before the scan", "exit handler")
     doc = json.loads(doc)
-    assert doc["jobs"] == 2
+    assert doc["jobs"] == 2 and doc["same_mask"] is True
     assert tuple(map(tuple, doc["accepted"])) == classify(4, 12).accepted
     assert proc.stderr == ""

@@ -516,7 +516,8 @@ def test_jobs_help_shows_default_and_caps(command, capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert (
         "--jobs JOBS processes that scan (default: 1), capped by the usable CPUs "
-        "and by the number of heads, and 1 where the platform has no fork"
+        "and by the number of heads, and 1 where the platform has no fork; on Linux "
+        "each starts on its own CPU of the affinity mask"
     ) in text
 
 
