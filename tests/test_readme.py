@@ -122,8 +122,11 @@ def test_bench_table_has_a_column_for_every_bench_file():
 
 
 def test_bench_table_headers_name_each_files_commits():
+    """Each file holds whole hashes; CI checks out no history, so only their form is checked."""
     for name, parent, change in bench_columns():
         commits = bench(name)["commits"]
+        assert sorted(commits) == ["change", "parent"], name
+        assert all(re.fullmatch(r"[0-9a-f]{40}", commits[side]) for side in commits), name
         assert commits["parent"].startswith(parent), name
         assert commits["change"].startswith(change), name
 
@@ -201,6 +204,11 @@ def bench_phrases():
         f"is {per_side('vmhwm_kb')}, with `--jobs 1` or 2; "
         f"the forked scan process peaks at {per_side('children_maxrss_kb')}.",
     ]
+
+
+def test_every_named_bench_key_exists():
+    for name, key in re.findall(r"`(BENCH_\w+\.json)` `(\w+)`", PERFORMANCE):
+        assert key in bench(name), (name, key)
 
 
 def test_performance_quotes_the_bench_files():
