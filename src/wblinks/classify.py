@@ -291,7 +291,9 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
     always leaves by ``os._exit``: 0 once it is written, 1 on any
     exception, whose ``repr`` it writes to the pipe instead.  So it never
     flushes the parent's buffers or runs its ``finally`` clauses or exit
-    handlers.  The parent scans and links its own share before it reads
+    handlers.  It opens its pipe before any other step, placement
+    included, so only a child killed by a signal reports no exception.
+    The parent scans and links its own share before it reads
     any pipe, then reads each pipe to EOF before it reaps that child and
     rebuilds the child's links.  A child
     that exits nonzero fails the scan with a ``RuntimeError`` that quotes
@@ -302,8 +304,8 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
 
     Where ``os.sched_setaffinity`` exists, each process starts on its own
     CPU of the affinity mask: the parent moves onto the mask's first CPU
-    before its first fork, child i onto CPU i mod n of the mask's n as its
-    first step, and each then allows the whole mask again, so the kernel
+    before its first fork, child i onto CPU i mod n of the mask's n once its
+    pipe is open, and each then allows the whole mask again, so the kernel
     stays free to move it.  Left to the kernel, the parent and the child
     of a ``--jobs 2`` scan at (4, 40) both ran their whole shares on one
     CPU of two, each taking about twice its CPU time in wall time.  The
@@ -334,12 +336,12 @@ def _survivors(dim: int, bound: int, jobs: int, cut: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    if cpus:
-                        _allow([cpus[i % len(cpus)]])
-                        _allow(cpus)
-                    os.close(r)
                     with open(w, "wb") as pipe:
                         try:
+                            if cpus:
+                                _allow([cpus[i % len(cpus)]])
+                                _allow(cpus)
+                            os.close(r)
                             data = marshal.dumps([
                                 (ws, _link_fields(link))
                                 for ws, link in _scan_partition(dim, bound, heads[i::jobs], cut)

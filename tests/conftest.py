@@ -1,8 +1,12 @@
+import importlib
 import os
 import re
 import signal
 
 import pytest
+
+# the package's `classify` attribute is the function, so look the module up
+SCAN = importlib.import_module("wblinks.classify")
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -57,3 +61,31 @@ def assert_no_process_left():
     """The scan reaped every child it forked."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class PidLog:
+    """A file that every process of a scan appends to, each line tagged with its pid.
+
+    A forked child's calls stay in the child, so a test that counts calls
+    across processes writes them here and reads them back by pid.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def write(self, text):
+        with self.path.open("a") as fh:
+            fh.write(f"{os.getpid()} {text}\n")
+
+    def read(self, parse=str):
+        """{pid: [parse(text), ...]} in the order each process wrote them."""
+        by_pid = {}
+        for line in self.path.read_text().splitlines():
+            pid, text = line.split(" ", 1)
+            by_pid.setdefault(int(pid), []).append(parse(text))
+        return by_pid
+
+
+@pytest.fixture
+def pid_log(tmp_path):
+    return PidLog(tmp_path / "pids.log")

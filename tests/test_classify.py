@@ -1,8 +1,8 @@
 import csv
 import errno
-import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -39,7 +39,7 @@ from wblinks.classify import (
     worker_count,
 )
 from wblinks.link import STAGE_WALL
-from conftest import assert_no_process_left
+from conftest import SCAN, assert_no_process_left
 from reference import (
     CyclicQuotient,
     exceptional_patch_types,
@@ -51,9 +51,6 @@ from reference import (
 
 P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 P4_LINKS = Path(__file__).parent / "data" / "p4_links_bound39.csv"
-
-# the package's `classify` attribute is the function, so look the module up
-SCAN = importlib.import_module("wblinks.classify")
 
 
 def literal_terminal(ws, r):
@@ -900,28 +897,27 @@ def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
         assert admitted == expected.get(dim, []), dim
 
 
+def ints(text):
+    return tuple(map(int, text.split()))
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
-def test_scan_builds_each_table_once(two_cpus, monkeypatch, tmp_path, dim, bound, jobs):
+def test_scan_builds_each_table_once(two_cpus, monkeypatch, pid_log, dim, bound, jobs):
     """Each scanning process builds one table per index up to dim * bound - 1.
 
-    Every process writes its builds to one file, each line tagged with its
-    pid, so the child's builds reach the test too.
+    Every process logs its builds by pid, so the child's reach the test too.
     """
-    real, log = SCAN._residue_table, tmp_path / "tables.log"
+    real = SCAN._residue_table
 
     def record(r, n, top):
-        with log.open("a") as fh:
-            fh.write(f"{os.getpid()} {r} {n} {top}\n")
+        pid_log.write(f"{r} {n} {top}")
         return real(r, n, top)
 
     monkeypatch.setattr(SCAN, "_residue_table", record)
     _survivors(dim, bound, jobs, bound)
     assert_no_process_left()
-    built = {}
-    for line in log.read_text().splitlines():
-        pid, *entry = map(int, line.split())
-        built.setdefault(pid, []).append(tuple(entry))
+    built = pid_log.read(ints)
     assert os.getpid() in built and len(built) == jobs
     for tables in built.values():
         assert tables == [(r, dim, bound) for r in range(2, dim * bound)]
@@ -929,28 +925,24 @@ def test_scan_builds_each_table_once(two_cpus, monkeypatch, tmp_path, dim, bound
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("dim,top,cut", [(4, 40, 40), (4, 32, 16)])
-def test_scan_links_each_returned_pair_once(two_cpus, monkeypatch, tmp_path, dim, top, cut, jobs):
+def test_scan_links_each_returned_pair_once(two_cpus, monkeypatch, pid_log, dim, top, cut, jobs):
     """Every scanning process calls ``build_link`` once per pair it returns.
 
-    Each call is logged with its pid, so the child's calls reach the test
-    too.  At (4, 32) with the cut at 16 each process links its survivors
-    above the cut as it finds them, up to its witness, and the ones at or
-    below the cut after its scan; no survivor is linked twice.
+    Each call is logged by pid, so the child's calls reach the test too.
+    At (4, 32) with the cut at 16 each process links its survivors above
+    the cut as it finds them, up to its witness, and the ones at or below
+    the cut after its scan; no survivor is linked twice.
     """
-    real, log = SCAN.build_link, tmp_path / "links.log"
+    real = SCAN.build_link
 
     def record(ws, n):
-        with log.open("a") as fh:
-            fh.write(f"{os.getpid()} {' '.join(map(str, ws))}\n")
+        pid_log.write(" ".join(map(str, ws)))
         return real(ws, n)
 
     monkeypatch.setattr(SCAN, "build_link", record)
     pairs = _survivors(dim, top, jobs, cut)
     assert_no_process_left()
-    linked = {}
-    for line in log.read_text().splitlines():
-        pid, *ws = map(int, line.split())
-        linked.setdefault(pid, []).append(tuple(ws))
+    linked = pid_log.read(ints)
     assert os.getpid() in linked and len(linked) == jobs
     calls = sorted(ws for share in linked.values() for ws in share)
     assert calls == [ws for ws, _ in pairs]
@@ -1073,6 +1065,35 @@ def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
     assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
 
 
+def test_a_child_whose_placement_raises_reports_it(two_cpus, monkeypatch):
+    """The child opens its pipe before it places itself, so the parent gets this exception too."""
+    parent = os.getpid()
+
+    def place(pid, cpus):
+        if os.getpid() != parent:
+            raise IndexError("placement failed in the child")
+
+    monkeypatch.setattr("os.sched_setaffinity", place)
+    message = r"failed with exit code 1: IndexError\('placement failed in the child'\)"
+    with pytest.raises(RuntimeError, match=message):
+        _survivors(4, 16, 2, 16)
+    assert_no_process_left()
+
+
+def test_a_child_killed_by_a_signal_fails_the_scan(two_cpus, monkeypatch):
+    parent, real = os.getpid(), SCAN._scan_partition
+
+    def kill_in_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(SCAN, "_scan_partition", kill_in_child)
+    with pytest.raises(RuntimeError, match="failed with exit code -9: no exception reported"):
+        _survivors(4, 16, 2, 16)
+    assert_no_process_left()
+
+
 def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
     parent, real = os.getpid(), SCAN._scan_partition
 
@@ -1111,17 +1132,15 @@ def test_a_failed_fork_closes_its_pipe(two_cpus, monkeypatch):
     assert two_cpus == [(0, {0}), (0, {0, 1})]
 
 
-def test_each_process_starts_on_its_own_cpu(two_cpus, monkeypatch, tmp_path):
+def test_each_process_starts_on_its_own_cpu(two_cpus, monkeypatch, pid_log):
     """The parent starts on the first CPU and child i on CPU i mod 2, then each allows both.
 
-    A serial scan makes no affinity call.  Every process logs its calls to
-    one file, since a child's calls stay in the child.
+    A serial scan makes no affinity call.  Every process logs its calls by
+    pid, since a child's calls stay in the child.
     """
-    log = tmp_path / "placed"
 
     def place(pid, cpus):
-        with log.open("a") as fh:
-            fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+        pid_log.write(str(sorted(cpus)))
 
     real, children = os.fork, []
 
@@ -1134,13 +1153,10 @@ def test_each_process_starts_on_its_own_cpu(two_cpus, monkeypatch, tmp_path):
     monkeypatch.setattr("os.sched_setaffinity", place)
     monkeypatch.setattr(os, "fork", fork)
     serial = _survivors(4, 16, 1, 16)
-    assert not log.exists()
+    assert not pid_log.path.exists()
     assert _survivors(4, 16, 3, 16) == serial
     assert_no_process_left()
-    calls = {}
-    for line in log.read_text().splitlines():
-        pid, cpus = line.split(" ", 1)
-        calls.setdefault(int(pid), []).append(cpus)
+    calls = pid_log.read()
     assert calls.pop(os.getpid()) == ["[0]", "[0, 1]", "[0, 1]"]
     assert [calls.pop(pid) for pid in children] == [["[1]", "[0, 1]"], ["[0]", "[0, 1]"]]
     assert calls == {}

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -13,7 +12,7 @@ import pytest
 
 from wblinks.classify import classify
 from wblinks.cli import main, render_report
-from conftest import assert_no_process_left
+from conftest import SCAN, assert_no_process_left
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
 
@@ -21,16 +20,14 @@ PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
 @pytest.fixture
 def scans(monkeypatch):
     """Record each scan as (dim, bound, jobs, cut) and run it serially."""
-    # the package's `classify` attribute is the function, so look the module up
-    module = importlib.import_module("wblinks.classify")
-    real = module._survivors
+    real = SCAN._survivors
     calls = []
 
     def record(dim, bound, jobs, cut):
         calls.append((dim, bound, jobs, cut))
         return real(dim, bound, 1, cut)
 
-    monkeypatch.setattr(module, "_survivors", record)
+    monkeypatch.setattr(SCAN, "_survivors", record)
     return calls
 
 
@@ -70,50 +67,6 @@ class TestCheck:
         assert doc["result"]["weak_fano"] is None
         assert doc["result"]["antik_degree"] is None
 
-    def test_bad_token_exits_2(self, capsys):
-        code, _ = run_cli(["check", "-w", "1,x,3"])
-        assert code == 2
-        assert "'x'" in capsys.readouterr().err
-
-    def test_bad_index_exits_2(self):
-        code, _ = run_cli(["check", "-w", "1,2", "-r", "0"])
-        assert code == 2
-
-    def test_index_above_cap_exits_2_before_any_work(self, capsys):
-        started = time.perf_counter()
-        code, text = run_cli(["check", "--weights=1,-1,2,3", "-r", "10000001"])
-        assert time.perf_counter() - started < 1.0
-        assert code == 2
-        assert text == ""
-        assert "index must be at most 10000000" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "weights, message",
-        [
-            ("--weights=-1,10000001", "largest weight must be at most 10000000"),
-            ("--weights=1,1,10000001", "largest weight must be at most 10000000"),
-            ("--weights=2,10000000", "sum(weights) - 1 must be at most 10000000"),
-        ],
-    )
-    def test_index_of_weights_above_cap_exits_2(self, weights, message, capsys):
-        code, text = run_cli(["check", weights])
-        assert code == 2
-        assert text == ""
-        assert message in capsys.readouterr().err
-
-    def test_too_many_entries_above_one_exits_2(self, capsys):
-        """More than 20 weights exit 2 before any work, in check and link."""
-        for argv, count in [
-            (["check", "--weights=-1" + ",2" * 20], 21),
-            (["check", "-w", ",".join(["1"] * 3000)], 3000),
-            (["link", "--dim", "21", "-w", ",".join(["1"] * 21)], 21),
-        ]:
-            started = time.perf_counter()
-            code, text = run_cli(argv)
-            assert time.perf_counter() - started < 1, argv
-            assert code == 2 and text == "", argv
-            assert f"at most 20 weights, got {count}" in capsys.readouterr().err
-
     def test_index_not_an_entry(self):
         code, doc = run_json(["check", "--weights=-1,-2,4,6,10"])
         assert code == 0
@@ -127,18 +80,6 @@ class TestLink:
         assert code == 0
         assert doc["inputs"]["weights"] == [5, 1, 2]
         assert doc["result"]["weights_sorted"] == [1, 2, 5]
-
-    def test_length_mismatch_exits_2(self):
-        code, _ = run_cli(["link", "-w", "1,2", "--dim", "3"])
-        assert code == 2
-
-    def test_blowup_index_above_cap_exits_2_before_any_work(self, capsys):
-        started = time.perf_counter()
-        code, text = run_cli(["link", "--dim", "3", "-w", "1,1,10000000"])
-        assert time.perf_counter() - started < 1.0
-        assert code == 2
-        assert text == ""
-        assert "sum(weights) - 1 must be at most 10000000" in capsys.readouterr().err
 
     # The whole `result` of `wblinks link`: one divisorial link, one flop
     # then fibration, and one rejection at each of the wall and blowup stages.
@@ -234,55 +175,6 @@ class TestClassify:
         assert rows[0] == ["weights", "end_kind", "target"]
         assert doc["result"]["total"] == 4
 
-    @pytest.mark.parametrize("stabilize", [[], ["--stabilize"]])
-    def test_out_in_missing_dir_exits_2_before_any_scan(
-        self, scans, capsys, tmp_path, stabilize
-    ):
-        target = tmp_path / "no-such-dir" / "x.csv"
-        code, text = run_cli(
-            ["classify", "--dim", "3", "--bound", "8", "--format", "csv",
-             "--out", str(target)] + stabilize
-        )
-        assert code == 2
-        assert text == "" and scans == []
-        assert capsys.readouterr().err == (
-            f"error: --out directory does not exist: {target.parent}\n"
-        )
-        assert not target.parent.exists()
-
-    def test_out_that_is_a_directory_exits_2_before_any_scan(self, scans, capsys, tmp_path):
-        code, text = run_cli(
-            ["classify", "--dim", "3", "--bound", "8", "--out", str(tmp_path)]
-        )
-        assert code == 2
-        assert text == "" and scans == []
-        assert "error: --out is not a writable file path" in capsys.readouterr().err
-
-    def test_empty_out_exits_2_before_any_scan(self, scans, capsys):
-        code, text = run_cli(["classify", "--dim", "3", "--bound", "8", "--out", ""])
-        assert code == 2
-        assert text == "" and scans == []
-        assert capsys.readouterr().err == "error: --out must name a file, not an empty path\n"
-
-    def test_negative_expect_exits_2_before_any_scan(self, scans, capsys):
-        code, text = run_cli(["classify", "--dim", "3", "--bound", "8", "--expect", "-1"])
-        assert code == 2
-        assert text == "" and scans == []
-        assert capsys.readouterr().err == "error: --expect must be a count >= 0, got -1\n"
-
-    def test_over_budget_with_out_exits_2_and_creates_no_file(
-        self, scans, capsys, tmp_path
-    ):
-        target = tmp_path / "x.csv"
-        code, text = run_cli(
-            ["classify", "--dim", "4", "--bound", "131", "--format", "csv",
-             "--out", str(target)]
-        )
-        assert code == 2
-        assert text == "" and scans == []
-        assert "the largest bound is 130" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
     def test_stabilize_flag(self):
         code, doc = run_json(
             ["classify", "--dim", "3", "--bound", "16", "--stabilize"]
@@ -297,34 +189,6 @@ class TestClassify:
         )
         assert code == 0
         assert scans == [(3, 32, 1, 16)]
-
-    def test_stabilize_bad_bound_exits_2_before_any_scan(self, scans, capsys):
-        code, text = run_cli(["classify", "--dim", "3", "--bound", "1", "--stabilize"])
-        assert code == 2
-        assert text == "" and scans == []
-        assert "bound must be >= 2, got 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv", [["--bound", "256"], ["--bound", "128", "--stabilize"]]
-    )
-    def test_over_budget_exits_2_before_any_scan(self, scans, capsys, argv):
-        code, text = run_cli(["classify", "--dim", "4"] + argv)
-        assert code == 2
-        assert text == "" and scans == []
-        err = capsys.readouterr().err
-        assert "a dim-4 scan at bound 256 is over budget: the largest bound is 130" in err
-
-    @pytest.mark.parametrize("dim, bound, scanned", [(4, 66, 132), (3, 86, 172)])
-    def test_stabilize_over_budget_names_its_largest_bound(self, scans, capsys, dim, bound, scanned):
-        """One step over the largest bound that stabilizes: the error says why."""
-        argv = ["classify", "--dim", str(dim), "--bound", str(bound), "--stabilize"]
-        code, text = run_cli(argv)
-        assert code == 2
-        assert text == "" and scans == []
-        err = capsys.readouterr().err
-        assert f"bound {scanned} is over budget" in err
-        assert f"--stabilize scans at twice the bound it is given ({bound})" in err
-        assert "its largest bound is 65 in dimension 4 and 85 in dimension 3" in err
 
     def test_stabilize_echoes_the_workers_of_its_scan(self, scans, monkeypatch):
         # 2 partitions at bound 2 but 4 at bound 4, where the scan runs
@@ -360,11 +224,10 @@ class TestClassify:
     def test_dim4_bound39_matches_pinned_csv(self):
         # The full 421-tuple answer with end kinds and targets, as written by
         # `wblinks classify --dim 4 --bound 39 --format csv`.
-        pinned = Path(__file__).parent / "data" / "p4_bound39.csv"
         code, text = run_cli(["classify", "--dim", "4", "--bound", "39", "--format", "csv"])
         assert code == 0
         rows = list(csv.reader(io.StringIO(text)))
-        with pinned.open(newline="") as fh:
+        with PINNED_P4.open(newline="") as fh:
             expected = list(csv.reader(fh))
         assert len(expected) == 1 + 421
         assert rows == expected
@@ -382,13 +245,6 @@ class TestClassify:
         code, doc = run_json(["classify", "--dim", "3", "--bound", "8", "--jobs", "64"])
         assert code == 0
         assert doc["inputs"]["jobs"] == 1
-
-    @pytest.mark.parametrize("command", ["classify", "report"])
-    def test_bad_jobs_exits_2(self, capsys, command):
-        code, text = run_cli([command, "--dim", "3", "--bound", "8", "--jobs", "-3"])
-        assert code == 2
-        assert text == ""
-        assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
     def test_table_format(self):
         code, text = run_cli(["classify", "--dim", "3", "--bound", "64", "--format", "table"])
@@ -421,8 +277,7 @@ class TestReport:
         assert text == DIM3_REPORT
 
     def test_dim4_bound39_models_match_pinned_csv(self):
-        pinned = Path(__file__).parent / "data" / "p4_bound39.csv"
-        with pinned.open(newline="") as fh:
+        with PINNED_P4.open(newline="") as fh:
             expected = list(csv.reader(fh))[1:]
         rows = [
             line for line in render_report(classify(4, 39)).splitlines()
@@ -452,12 +307,6 @@ class TestReport:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == DIM4_REPORT_SHA256
 
-    def test_over_budget_exits_2(self, capsys):
-        code, text = run_cli(["report", "--dim", "4", "--bound", "256"])
-        assert code == 2
-        assert text == ""
-        assert "over budget: the largest bound is 130" in capsys.readouterr().err
-
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])
         assert code == 0
@@ -466,29 +315,74 @@ class TestReport:
         assert "P(1,2,3,5)-fibration over P^1" in text
 
 
-# Inputs the library refuses: the CLI reports its message, exit 2, before
-# the residue-sum criterion runs once.
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["link", "--dim", "3", "-w", "1,2"], "expected 3 weights, got 2"),
-        (["link", "--dim", "3", "-w", "0,1,2"], "blowup weights must be positive"),
-        (["link", "--dim", "0", "-w", "1"], "dim must be >= 2, got 0"),
-        (["check", "-w", "1,2", "-r", "0"], "index must be positive, got 0"),
-        (["check", "-w", ","], "bad weight token"),
-    ],
-    ids=["link-count", "link-positive", "link-dim", "check-index", "check-token"],
+# Every input the CLI refuses: (id, argv split at spaces, its stderr line after "error: ").
+# TMP in an argument or a message stands for the test's tmp_path.
+TMP = "<tmp>"
+OVER = "a dim-{} scan at bound {} is over budget: the largest bound is {}"
+STABILIZE = (
+    "; --stabilize scans at twice the bound it is given ({}), "
+    "so its largest bound is 65 in dimension 4 and 85 in dimension 3"
 )
-def test_library_refusal_exits_2_before_any_work(argv, message, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        "wblinks.singularity._residue_sums_exceed", lambda *a: calls.append(a)
-    )
-    code, text = run_cli(argv)
-    assert code == 2
-    assert text == ""
-    assert message in capsys.readouterr().err
-    assert calls == []
+CAP = "must be at most 10000000, got 10000001"
+REFUSED = [
+    ("link-count", "link --dim 3 -w 1,2", "expected 3 weights, got 2"),
+    ("link-count-above", "link --dim 3 -w 1,2,3,4", "expected 3 weights, got 4"),
+    ("link-positive", "link --dim 3 -w 0,1,2", "blowup weights must be positive, got [0, 1, 2]"),
+    ("link-dim", "link --dim 0 -w 1", "dim must be >= 2, got 0"),
+    ("link-index-cap", "link --dim 3 -w 1,1,10000000", f"blowup index sum(weights) - 1 {CAP}"),
+    ("link-weights-cap", "link --dim 21 -w " + ",".join(["1"] * 21), "at most 20 weights, got 21"),
+    ("check-index", "check -w 1,2 -r 0", "index must be positive, got 0"),
+    ("check-index-negative", "check -w 1,2 -r -1", "index must be positive, got -1"),
+    ("check-index-cap", "check --weights=1,-1,2,3 -r 10000001", f"index {CAP}"),
+    ("check-token", "check -w ,", "bad weight token: ''"),
+    ("check-token-x", "check -w 1,x,3", "bad weight token: 'x'"),
+    ("check-largest-signed", "check --weights=-1,10000001", f"largest weight {CAP}"),
+    ("check-largest", "check --weights=1,1,10000001", f"largest weight {CAP}"),
+    ("check-blowup-index", "check --weights=2,10000000", f"blowup index sum(weights) - 1 {CAP}"),
+    ("check-weights-cap-signed", "check --weights=-1" + ",2" * 20, "at most 20 weights, got 21"),
+    ("check-weights-cap", "check -w " + ",".join(["1"] * 3000), "at most 20 weights, got 3000"),
+    ("out-missing-dir", "classify --dim 3 --bound 8 --format csv --out <tmp>/missing/x.csv",
+     "--out directory does not exist: <tmp>/missing"),
+    ("out-missing-dir-stabilize", "classify --dim 3 --bound 8 --out <tmp>/missing/x.csv --stabilize",
+     "--out directory does not exist: <tmp>/missing"),
+    ("out-is-dir", "classify --dim 3 --bound 8 --out <tmp>",
+     "--out is not a writable file path: <tmp>"),
+    ("out-empty", "classify --dim 3 --bound 8 --out=", "--out must name a file, not an empty path"),
+    ("out-over-budget", "classify --dim 4 --bound 131 --format csv --out <tmp>/x.csv",
+     OVER.format(4, 131, 130)),
+    ("expect-negative", "classify --dim 3 --bound 8 --expect -1",
+     "--expect must be a count >= 0, got -1"),
+    ("over-budget", "classify --dim 4 --bound 256", OVER.format(4, 256, 130)),
+    ("stabilize-bound-1", "classify --dim 3 --bound 1 --stabilize", "bound must be >= 2, got 1"),
+    ("stabilize-over-budget", "classify --dim 4 --bound 128 --stabilize",
+     OVER.format(4, 256, 130) + STABILIZE.format(128)),
+    ("stabilize-over-budget-dim4", "classify --dim 4 --bound 66 --stabilize",
+     OVER.format(4, 132, 130) + STABILIZE.format(66)),
+    ("stabilize-over-budget-dim3", "classify --dim 3 --bound 86 --stabilize",
+     OVER.format(3, 172, 170) + STABILIZE.format(86)),
+    ("classify-jobs", "classify --dim 3 --bound 8 --jobs -3",
+     "jobs must be an integer >= 1, got -3"),
+    ("report-jobs", "report --dim 3 --bound 8 --jobs -3", "jobs must be an integer >= 1, got -3"),
+    ("report-over-budget", "report --dim 4 --bound 256", OVER.format(4, 256, 130)),
+]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(a, m, id=i) for i, a, m in REFUSED])
+def test_refused_input_exits_2_before_any_work(argv, message, scans, capsys, monkeypatch, tmp_path):
+    """Exit 2 with one error line and nothing on stdout, in under 1 s.
+
+    No scan starts, the residue-sum criterion never runs and no file or
+    directory is made.
+    """
+    sums = []
+    monkeypatch.setattr("wblinks.singularity._residue_sums_exceed", lambda *a: sums.append(a))
+    started = time.perf_counter()
+    code, text = run_cli([arg.replace(TMP, str(tmp_path)) for arg in argv.split()])
+    assert time.perf_counter() - started < 1.0
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message.replace(TMP, str(tmp_path))}\n"
+    assert scans == [] and sums == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["classify", "report"])
