@@ -1033,103 +1033,73 @@ def test_each_process_links_its_own_survivors(two_cpus, dim, top, bound, jobs):
     assert_no_process_left()
 
 
-def test_a_child_whose_build_link_raises_fails_the_scan(two_cpus, monkeypatch):
-    """``build_link`` runs in the process that found the survivor; in a child it fails the scan."""
-    parent, real = os.getpid(), SCAN.build_link
+def faulty(monkeypatch, name, where, fault):
+    """Patch name to raise what fault(*args) returns in the child, in the parent or at the where-th call.
 
-    def fail_in_child(ws, dim):
-        if os.getpid() != parent:
-            raise ArithmeticError(f"build_link failed in the child at {ws[:2]}")
-        return real(ws, dim)
+    Elsewhere the call goes through to the function patched before, which
+    for ``os.sched_setaffinity`` is the ``two_cpus`` recorder.
+    """
+    owner, attr = (os, name[3:]) if name.startswith("os.") else (SCAN, name)
+    real, parent, calls = getattr(owner, attr), os.getpid(), []
 
-    monkeypatch.setattr(SCAN, "build_link", fail_in_child)
-    message = r"failed with exit code 1: ArithmeticError\('build_link failed in the child at \(1, 2\)'\)"
-    with pytest.raises(RuntimeError, match=message):
-        _survivors(4, 16, 2, 16)
-    assert_no_process_left()
-
-
-def test_a_failing_child_fails_the_scan(two_cpus, monkeypatch):
-    parent, real = os.getpid(), SCAN._scan_partition
-
-    def fail_in_child(*args):
-        if os.getpid() != parent:
-            raise ValueError("child scan failed")
+    def call(*args):
+        calls.append(args)
+        if where in ("parent" if os.getpid() == parent else "child", len(calls)):
+            raise fault(*args)
         return real(*args)
 
-    monkeypatch.setattr(SCAN, "_scan_partition", fail_in_child)
-    message = r"failed with exit code 1: ValueError\('child scan failed'\)"
-    with pytest.raises(RuntimeError, match=message):
-        classify(4, 16, jobs=2)
+    monkeypatch.setattr(owner, attr, call)
+
+
+def open_fds():
+    """The process's open descriptors, or False where ``/proc/self/fd`` is absent."""
+    return os.path.isdir("/proc/self/fd") and sorted(os.listdir("/proc/self/fd"))
+
+
+# id, patched name, where the fault acts ("child", "parent" or the n-th call), the
+# fault (it returns the exception to raise, or kills its process), jobs, and what
+# the scan raises: its type, a pattern of its message and its errno.
+FAULTS = [
+    ("child-link", "build_link", "child", lambda ws, dim: ArithmeticError(f"no link at {ws[:2]}"),
+     2, RuntimeError, r"failed with exit code 1: ArithmeticError\('no link at \(1, 2\)'\)", None),
+    ("child-scan", "_scan_partition", "child", lambda *a: ValueError("child scan failed"),
+     2, RuntimeError, r"failed with exit code 1: ValueError\('child scan failed'\)", None),
+    ("child-placement", "os.sched_setaffinity", "child", lambda *a: IndexError("placement failed"),
+     2, RuntimeError, r"failed with exit code 1: IndexError\('placement failed'\)", None),
+    ("child-signal", "_scan_partition", "child", lambda *a: os.kill(os.getpid(), signal.SIGKILL),
+     2, RuntimeError, "failed with exit code -9: no exception reported", None),
+    ("parent-interrupt", "_scan_partition", "parent", lambda *a: KeyboardInterrupt(),
+     2, KeyboardInterrupt, "^$", None),
+    ("parent-scan", "_scan_partition", "parent", lambda *a: ValueError("parent scan failed"),
+     2, ValueError, "^parent scan failed$", None),
+    ("parent-rebuild", "_link_from_fields", "parent", lambda *a: TypeError("bad link fields"),
+     2, TypeError, "^bad link fields$", None),
+    ("first-fork", "os.fork", 1, lambda: OSError(errno.EAGAIN, "fork refused"),
+     2, OSError, "fork refused$", errno.EAGAIN),
+    ("second-fork", "os.fork", 2, lambda: OSError(errno.EAGAIN, "fork refused"),
+     3, OSError, "fork refused$", errno.EAGAIN),
+]
+
+
+@pytest.mark.parametrize("row", [pytest.param(row[1:], id=row[0]) for row in FAULTS])
+def test_a_scan_fault_leaves_no_process_descriptor_or_narrowed_mask(two_cpus, monkeypatch, row):
+    """The scan raises the row's exception, reaps every child, closes every pipe and allows the whole mask.
+
+    A child's failure is a ``RuntimeError`` that quotes what the child
+    wrote to its pipe.  The parent places itself on CPU 0 and allows both
+    CPUs after its last fork and in the ``finally``; after a failed fork
+    only the ``finally`` allows them.  The descriptor check needs
+    ``/proc/self/fd``.
+    """
+    name, where, fault, jobs, error, message, code = row
+    faulty(monkeypatch, name, where, fault)
+    before = open_fds()
+    with pytest.raises(error, match=message) as exc:
+        _survivors(4, 16, jobs, 16)
+    assert getattr(exc.value, "errno", None) == code
     assert_no_process_left()
-    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
-
-
-def test_a_child_whose_placement_raises_reports_it(two_cpus, monkeypatch):
-    """The child opens its pipe before it places itself, so the parent gets this exception too."""
-    parent = os.getpid()
-
-    def place(pid, cpus):
-        if os.getpid() != parent:
-            raise IndexError("placement failed in the child")
-
-    monkeypatch.setattr("os.sched_setaffinity", place)
-    message = r"failed with exit code 1: IndexError\('placement failed in the child'\)"
-    with pytest.raises(RuntimeError, match=message):
-        _survivors(4, 16, 2, 16)
-    assert_no_process_left()
-
-
-def test_a_child_killed_by_a_signal_fails_the_scan(two_cpus, monkeypatch):
-    parent, real = os.getpid(), SCAN._scan_partition
-
-    def kill_in_child(*args):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(*args)
-
-    monkeypatch.setattr(SCAN, "_scan_partition", kill_in_child)
-    with pytest.raises(RuntimeError, match="failed with exit code -9: no exception reported"):
-        _survivors(4, 16, 2, 16)
-    assert_no_process_left()
-
-
-def test_an_interrupted_parent_kills_and_reaps_its_child(two_cpus, monkeypatch):
-    parent, real = os.getpid(), SCAN._scan_partition
-
-    def interrupt_parent(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return real(*args)
-
-    monkeypatch.setattr(SCAN, "_scan_partition", interrupt_parent)
-    with pytest.raises(KeyboardInterrupt):
-        classify(4, 16, jobs=2)
-    assert_no_process_left()
-    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
-
-
-def test_a_failed_fork_closes_its_pipe(two_cpus, monkeypatch):
-    """The second of two forks fails: the first child is reaped, no fd leaks."""
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("needs /proc/self/fd to count open file descriptors")
-    real, forks = os.fork, []
-
-    def fork_once():
-        forks.append(1)
-        if len(forks) > 1:
-            raise OSError(errno.EAGAIN, "fork refused")
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    before = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError, match="fork refused") as exc:
-        _survivors(4, 12, 3, 12)
-    assert exc.value.errno == errno.EAGAIN
-    assert len(os.listdir("/proc/self/fd")) == before
-    assert_no_process_left()
-    # only the finally allows the whole mask again
-    assert two_cpus == [(0, {0}), (0, {0, 1})]
+    assert open_fds() == before
+    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})][: 2 if name == "os.fork" else 3]
 
 
 def test_each_process_starts_on_its_own_cpu(two_cpus, monkeypatch, pid_log):
