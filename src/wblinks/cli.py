@@ -8,6 +8,14 @@ Exit codes: 0 success (a rejected link is a valid answer), 2 input error,
 error is any ValueError: the CLI raises one for its own limits
 (``MAX_WEIGHTS``, ``MAX_INDEX``, ``--out``, ``--expect``) and passes on the
 library's.
+
+Both routes into the CLI, ``python -m wblinks.cli`` and the ``wblinks``
+script, enter through ``run``, which leaves by ``os._exit`` once the answer
+is flushed and so skips the interpreter's teardown.  A stdout that cannot be
+flushed, such as a pipe whose reader has gone, still exits 120 through the
+interpreter's normal exit.  Since ``atexit`` handlers do not run, a coverage
+run of the script or of ``-m`` loses its data; call ``main`` in-process to
+measure coverage.
 """
 
 from __future__ import annotations
@@ -339,5 +347,24 @@ def main(argv=None, out=None) -> int:
         return 2
 
 
+def run() -> int:
+    """Run ``main`` on ``sys.argv``, flush stdout and stderr, and leave by ``os._exit``.
+
+    When ``main`` returns, every file it opened is closed and every scan
+    process is reaped, and the package registers no ``atexit`` handler, so
+    the interpreter's teardown has nothing left to do for the answer.  If a
+    flush raises ``OSError``, the code is returned instead, and the caller's
+    normal exit reports the unflushed stream as it would without ``run``.
+    Exceptions from ``main``, argparse's ``SystemExit`` included, propagate.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from wblinks.cli import main, render_report
 from conftest import SCAN, assert_no_process_left
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -444,10 +446,64 @@ print(json.dumps(loaded))
 
 
 def test_commands_do_not_load_the_pool_fractions_or_dataclasses():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", COLD_START],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert json.loads(proc.stdout) == [[]] * 6
+
+
+# The `python -m wblinks.cli` route, which leaves through `cli.run` without the
+# interpreter's teardown.  A row is (id, argv with <tmp> for tmp_path, exit
+# code, stdout, a pattern of all of stderr); stdout is the pinned CSV's bytes,
+# fields of the JSON document's "result", or CLOSED: a pipe whose read end is
+# closed before the command starts.
+CLOSED = "closed"
+PINNED_CSV = PINNED_P4.read_bytes()
+ROUTE = [
+    ("csv", "classify --dim 4 --bound 39 --format csv", 0, PINNED_CSV, ""),
+    ("csv-jobs2", "classify --dim 4 --bound 39 --format csv --jobs 2", 0, PINNED_CSV, ""),
+    ("out", "classify --dim 4 --bound 39 --format csv --out <tmp>/p4.csv", 0,
+     {"written": "<tmp>/p4.csv", "total": 421}, ""),
+    ("expect-mismatch", "classify --dim 3 --bound 64 --expect 5", 3, {"total": 4},
+     re.escape("expected 5 tuples, found 4\n")),
+    ("refused-bound", "classify --dim 4 --bound 131", 2, b"",
+     re.escape(f"error: {OVER.format(4, 131, 130)}\n")),
+    # The answer fits stdout's buffer, so only run's flush meets the closed
+    # pipe; the interpreter's exit then reports it, as without run.
+    ("closed-stdout", "classify --dim 3 --bound 8", 120, CLOSED,
+     r"Exception ignored [^\n]*\nBrokenPipeError: \[Errno 32\] Broken pipe\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [pytest.param(*r, id=i) for i, *r in ROUTE])
+def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stderr, tmp_path):
+    """A fresh interpreter with buffered stdout: no PYTHON* variable but PYTHONPATH.
+
+    No row prints a traceback, and the only file written is the pinned CSV,
+    by the ``--out`` row.
+    """
+    argv = [arg.replace(TMP, str(tmp_path)) for arg in argv.split()]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    target = subprocess.PIPE
+    if stdout == CLOSED:
+        read_end, target = os.pipe()
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wblinks.cli", *argv], stdout=target,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        if stdout == CLOSED:
+            os.close(target)
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    assert re.fullmatch(stderr, err) and "Traceback" not in err, err
+    if isinstance(stdout, dict):
+        expected = json.loads(json.dumps(stdout).replace(TMP, str(tmp_path)))
+        assert json.loads(proc.stdout)["result"].items() >= expected.items()
+    elif stdout != CLOSED:
+        assert proc.stdout == stdout
+    written = [PINNED_CSV] if "--out" in argv else []
+    assert [path.read_bytes() for path in tmp_path.iterdir()] == written
