@@ -488,14 +488,14 @@ def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stde
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = SRC
     target = subprocess.PIPE
-    if stdout == CLOSED:
+    if stdout is CLOSED:
         read_end, target = os.pipe()
         os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "wblinks.cli", *argv], stdout=target,
                               stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
-        if stdout == CLOSED:
+        if stdout is CLOSED:
             os.close(target)
     err = proc.stderr.decode()
     assert proc.returncode == code, err
@@ -503,7 +503,7 @@ def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stde
     if isinstance(stdout, dict):
         expected = json.loads(json.dumps(stdout).replace(TMP, str(tmp_path)))
         assert json.loads(proc.stdout)["result"].items() >= expected.items()
-    elif stdout != CLOSED:
+    elif stdout is not CLOSED:
         assert proc.stdout == stdout
     written = [PINNED_CSV] if "--out" in argv else []
     assert [path.read_bytes() for path in tmp_path.iterdir()] == written

@@ -95,6 +95,7 @@ BENCH_FILES = sorted(path.name for path in ROOT.glob("BENCH_*.json"))
 HEADER = re.compile(r"`(BENCH_\w+\.json)`, (\w{7}) → (\w{7})")
 CELL = re.compile(r"(\d+\.\d{3}) → (\d+\.\d{3}) s \((\d+)\)")
 NUMBER = re.compile(r"\d+(?:[.,]\d+)+")
+STABILIZE_CSV = "classify --dim 4 --bound 16 --stabilize --format csv"
 
 
 def tables():
@@ -190,6 +191,17 @@ def bench_phrases():
             for side, commit in short.items()
         )
 
+    drift = bench(named_file("runs"))
+
+    def spread(side):
+        walls = [r["info"]["unscaled_wall_s"] for r in drift["runs"]
+                 if r["workload"] == "p4_stabilize_csv" and r["side"] == side]
+        return f"{min(walls):.3f}–{max(walls):.3f} s at {drift['commits'][side][:7]}"
+
+    teardown = bench(named_file("teardown"))["teardown"]
+    rounds = teardown["rounds"]
+    site, bare = (teardown["median_ms"][STABILIZE_CSV][key] for key in ("site", "-S"))
+
     return [
         "30-second runs of the benchmark in `perfbench/`",
         f"{machine['vcpus']} vCPUs, Python {machine['python']}, "
@@ -203,6 +215,12 @@ def bench_phrases():
         f"process at {kb_range(children)}.",
         f"is {per_side('vmhwm_kb')}, with `--jobs 1` or 2; "
         f"the forked scan process peaks at {per_side('children_maxrss_kb')}.",
+        f"spans {spread('parent')} and {spread('change')}, so only the two sides",
+        f"From the last Python line of a `{STABILIZE_CSV}` process to its reaping took "
+        f"{site['teardown']:.1f} ms with the interpreter's teardown and {site['os._exit']:.1f} ms "
+        f"without it (medians of {rounds} fresh processes each",
+        f"the same took {bare['teardown']:.1f} and {bare['os._exit']:.1f} ms: "
+        f"{bare['saved']:.1f} ms is the saving on a clean interpreter.",
     ]
 
 
