@@ -67,6 +67,15 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 # dimension 4 at 130; those scans peak at 50.5 MB and 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
+# Each scanning process builds every table, about TABLE_BYTES[dim] * B**3
+# bytes at bound B.  ``worker_count`` starts no more processes than keep
+# that estimate, summed over them, within SCAN_TABLES_BUDGET: 256 MiB,
+# eight times the 32 MiB of one scan's tables above.  That is 7 processes
+# at the dimension-3 cap and 9 at the dimension-4 cap, whose tables, as
+# measured above, hold 236 MiB and 252 MiB in all.
+TABLE_BYTES = {3: 7, 4: 13.5}
+SCAN_TABLES_BUDGET = 256 * 2**20
+
 
 class ClassificationRun(Record):
     """One scan's answer: each accepted tuple mapped to its link, in sorted order.
@@ -174,9 +183,9 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     the bound's rows hold every residue mod e.  The blowup test sums dim
     terms and a flip has at most dim + 1 nonzero ones, and a table for n
     terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
-    every index in that range.  The tables take about 7 * B**3 bytes at
-    bound B in dimension 3 and 13.5 * B**3 in dimension 4: 0.9 MiB at
-    B = 40 and 6.1 MiB at B = 78.  The tables go once the share is
+    every index in that range.  The tables take about
+    ``TABLE_BYTES[dim] * B**3`` bytes at bound B: 0.9 MiB at B = 40 and
+    6.1 MiB at B = 78 in dimension 4.  The tables go once the share is
     scanned, before the survivors at or below the cut are linked.
 
     Index-major: the blowup index V = sum(head) + S - 1 depends only on the
@@ -397,13 +406,16 @@ def _check_scan(dim: int, bound: int) -> None:
 
 
 def worker_count(jobs: int, dim: int, bound: int) -> int:
-    """Processes that scan: jobs capped by the usable CPUs and partitions.
+    """Processes that scan: jobs capped by the usable CPUs, partitions and memory.
 
     The scan forks all but one of them at once, so an uncapped count would
     start that many processes.  Usable CPUs are the affinity mask where
     ``os.sched_getaffinity`` exists (Linux) and ``os.cpu_count()``
-    elsewhere; without ``os.fork`` the scan runs in one process.  A float
-    or a string jobs, dim or bound raises TypeError (``operator.index``).
+    elsewhere; without ``os.fork`` the scan runs in one process.  Each
+    process builds every table, so the count is also capped at the number
+    whose tables, ``TABLE_BYTES[dim] * bound**3`` bytes each, fit within
+    ``SCAN_TABLES_BUDGET``, and is never below 1.  A float or a string
+    jobs, dim or bound raises TypeError (``operator.index``).
     """
     jobs, dim, bound = map(operator.index, (jobs, dim, bound))
     if jobs < 1:
@@ -415,7 +427,8 @@ def worker_count(jobs: int, dim: int, bound: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     partitions = comb(bound + dim - 3, dim - 2)
-    return min(jobs, cpus, partitions)
+    memory = max(1, int(SCAN_TABLES_BUDGET // (TABLE_BYTES[dim] * bound**3)))
+    return min(jobs, cpus, partitions, memory)
 
 
 def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
@@ -539,9 +552,42 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       leaves (1, 3, 3, 4) and (1, 3, 3, 8), and ``build_link`` accepts
       both.
 
+    The family (a, b, b, d), 2 <= a < b < d, is (2, 3, 3, 4) and
+    (2, 5, 5, 6) at every bound >= 6:
+
+    - -K is interior iff 5b > a + 2b + d - 1, that is d <= 3b - a.  The
+      only wall is at a.
+    - The chart at b, 1/b(-1, a, b, d) = 1/b(-1, a, 0, d), is
+      1/b(-1, a, d) times a line.  By the terminal lemma two of -1, a and
+      d sum to 0 mod b, and 2 <= a < b rules out a = 1 mod b.  So d = 1 or
+      a + d = 0 mod b, and b < d <= 3b - a leaves d = b + 1, 2b + 1,
+      2b - a or 3b - a.
+    - d = 2b + 1: the chart at d, 1/d(-1, a, b, b), fails at k = d - 2.
+      The residues are 2, d - 2a, 1 and 1, which sum to d + 4 - 2a <= d.
+    - d = 3b - a: if g = gcd(a, b) > 1, g divides d, and the chart at d
+      fails at k = d/g, where the residues are d - k, 0, 0 and 0.
+      Otherwise b is prime to d; let j = 1/b mod d.  Since a = 3b - d,
+      the residues at k = j are d - j, 3, 1 and 1, which sum to
+      d - j + 5 <= d if j >= 5.  And j >= 5: jb - 1 = id for some
+      0 <= i < j, as b < d.  With d = 3b - a, each i for j = 1, ..., 4
+      gives jb = 1, a = 1, a = b + 1, a > b, a <= 0 or 2a = 2b + 1, none of
+      which 2 <= a < b allows.
+    - d = 2b - a: the wall at a has flip (-a, -1, b-a, b-a, 2(b-a)).  At
+      its entry e = b - a only -a and -1 can be nonzero mod e, so s(k) +
+      s(e - k) <= 2e and it is not terminal if e > 1.  So b = a + 1, and
+      d = b + 1.
+    - d = b + 1: the chart at d is 1/(b+1)(-1, a, -1, -1); at k = b its
+      residues are 1, d - a, 1 and 1, which sum to d - a + 3, so a = 2.
+      The wall at 2, at its entry m = b - 1, is 1/m(-1, -1, -1, -2) times
+      a line, which fails at k = ceil(4m/5) for m >= 5, where the residues
+      sum to 5m - 5k <= m; so b <= 5.  The chart at b, 1/b(-1, 2, 0, 1),
+      has residue sum b at k = b/2 if b is even, so b is 3 or 5.  That
+      leaves (2, 3, 3, 4) and (2, 5, 5, 6), and ``build_link`` accepts
+      both.
+
     The rest of the dimension-4 answer, 421 quadruples with top weight
     <= 39 in all, is computed, not proved: the other repeated-weight shapes
-    (8 quadruples) and the 399 strictly increasing ones.  CI checks that
+    (6 quadruples) and the 399 strictly increasing ones.  CI checks that
     it is complete to top weight 130:
     ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
     """

@@ -4,18 +4,17 @@
 (version "1") and deterministic key order; `classify` can also emit CSV or a
 plain table.  `report` is `classify` written as a Markdown table.
 Exit codes: 0 success (a rejected link is a valid answer), 2 input error,
-3 when --expect is given and the classification count differs.  An input
-error is any ValueError: the CLI raises one for its own limits
+3 when --expect is given and the classification count differs, and 120
+(``CLOSED_STDOUT``) when stdout or stderr is a pipe whose reader has gone.
+An input error is any ValueError: the CLI raises one for its own limits
 (``MAX_WEIGHTS``, ``MAX_INDEX``, ``--out``, ``--expect``) and passes on the
 library's.
 
 Both routes into the CLI, ``python -m wblinks.cli`` and the ``wblinks``
 script, enter through ``run``, which leaves by ``os._exit`` once the answer
-is flushed and so skips the interpreter's teardown.  A stdout that cannot be
-flushed, such as a pipe whose reader has gone, still exits 120 through the
-interpreter's normal exit.  Since ``atexit`` handlers do not run, a coverage
-run of the script or of ``-m`` loses its data; call ``main`` in-process to
-measure coverage.
+is flushed and so skips the interpreter's teardown.  Since ``atexit``
+handlers do not run, a coverage run of the script or of ``-m`` loses its
+data; call ``main`` in-process to measure coverage.
 """
 
 from __future__ import annotations
@@ -28,7 +27,13 @@ import os
 import sys
 import time
 
-from .classify import DEFAULT_BOUNDS, MAX_BOUNDS, classify, classify_stable
+from .classify import (
+    DEFAULT_BOUNDS,
+    MAX_BOUNDS,
+    SCAN_TABLES_BUDGET,
+    classify,
+    classify_stable,
+)
 from .link import DivContraction, Fibration, Link, build_link, display_orientation
 from .singularity import (
     is_terminal_blowup,
@@ -54,6 +59,11 @@ DIM3_END_ANNOTATIONS = {
 # each index R they test, which takes seconds at R = 10**7; larger indices
 # are refused before any work.
 MAX_INDEX = 10**7
+
+# The exit code of a command whose stdout or stderr is a pipe whose reader
+# has gone, however much of the answer was written: the code that Python's
+# own exit gives when it cannot flush a standard stream.
+CLOSED_STDOUT = 120
 
 # `check -w` and `link -w` take at most this many weights, refused before any
 # work: their cost grows quadratically with the length, and the lists of the
@@ -304,9 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{MAX_BOUNDS[4] // 2} with classify --stabilize, which scans at twice the bound)"
     ))
     scan.add_argument("--jobs", type=int, default=1, help=(
-        "processes that scan (default: 1), capped by the usable CPUs and by the "
-        "number of heads, and 1 where the platform has no fork; on Linux each "
-        "starts on its own CPU of the affinity mask"
+        "processes that scan (default: 1), capped by the usable CPUs, by the "
+        f"number of heads and by a {SCAN_TABLES_BUDGET // 2**20} MiB budget for "
+        "the tables of them all, and 1 where the platform has no fork; on Linux "
+        "each starts on its own CPU of the affinity mask"
     ))
 
     p = sub.add_parser("check", help="terminality checks on one weight list")
@@ -352,16 +363,34 @@ def run() -> int:
 
     When ``main`` returns, every file it opened is closed and every scan
     process is reaped, and the package registers no ``atexit`` handler, so
-    the interpreter's teardown has nothing left to do for the answer.  If a
-    flush raises ``OSError``, the code is returned instead, and the caller's
-    normal exit reports the unflushed stream as it would without ``run``.
-    Exceptions from ``main``, argparse's ``SystemExit`` included, propagate.
+    the interpreter's teardown has nothing left to do for the answer.
+
+    A ``BrokenPipeError``, from ``main``'s writes or from a flush, means
+    that the reader of an output pipe has gone: the code is
+    ``CLOSED_STDOUT``, with nothing more on stderr, whether the answer
+    fitted stdout's buffer or not.  What stdout holds is flushed once
+    more, so an answer still reaches an open stdout when only stderr's
+    reader has gone.  If that flush fails too, stdout is pointed at
+    ``os.devnull``, as the ``signal`` module's "Note on SIGPIPE" advises,
+    so that no later flush meets the pipe.  If another ``OSError`` stops a
+    flush, the code is returned instead, and the caller's normal exit
+    reports the unflushed stream.  Other exceptions from ``main``,
+    argparse's ``SystemExit`` included, propagate.
     """
-    code = main()
+    code = None
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        code = CLOSED_STDOUT
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError:
+        if code is None:
+            raise
         return code
     os._exit(code)
 

@@ -1,12 +1,33 @@
 import importlib
+import importlib.util
 import os
 import re
 import signal
+from pathlib import Path
 
 import pytest
 
 # the package's `classify` attribute is the function, so look the module up
 SCAN = importlib.import_module("wblinks.classify")
+
+
+def _load_oracle():
+    """``perfbench/oracle.py`` of this checkout, as it stands.
+
+    The tests' one oracle: the residue-sum criterion over the full range
+    of k, the criterion at every subset gcd, the flip written out, and
+    the end-model check, from the definitions and with no code of the
+    package.  It is read from the checkout, so an installed package is
+    tested against it too.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = _load_oracle()
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 

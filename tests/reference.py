@@ -14,20 +14,18 @@ test compares two independent derivations:
 - the degree inequalities of a weak Fano T, cleared of roots;
 - the packed wall test at every entry > 1 of every flip, each summed
   afresh, without the per-head memo of head-only sums that the scan's
-  one wall test (``_walls_terminal``) fills;
-- the unpruned enumerator, which runs ``build_link`` on every ascending
-  tuple, without the scan.
+  one wall test (``_walls_terminal``) fills.
+
+The stages and ends of ``build_link`` are checked against the oracle,
+``perfbench/oracle.py``, which ``conftest`` loads as ``ORACLE``.
 """
 
 import operator
-from itertools import combinations_with_replacement
 from math import prod
 
 from wblinks import (
     NOT_WEAK_FANO,
     BlowupVariety,
-    Link,
-    build_link,
     is_terminal_cqs,
     is_weak_fano,
 )
@@ -177,12 +175,3 @@ def packed_walls_terminal(ws, tables) -> bool:
                     return False
     return True
 
-
-def naive_accepted(dim, bound):
-    """Unpruned enumerator: the ascending tuples with top weight <= bound
-    that ``build_link`` accepts."""
-    return tuple(
-        ws
-        for ws in combinations_with_replacement(range(1, bound + 1), dim)
-        if isinstance(build_link(ws, dim), Link)
-    )

@@ -33,7 +33,7 @@ from wblinks.toric import (
     is_weak_fano,
 )
 from wblinks.cli import render_report
-from reference import naive_accepted
+from conftest import ORACLE
 from test_properties import MANY
 
 # Smallest bound at which the dimension-4 count stabilizes (equal accepted
@@ -154,7 +154,7 @@ def test_criterion_6_property_suites():
     # and run in the same session; here we verify their configuration and
     # re-run the deterministic enumerator cross-check they rely on.
     assert MANY.max_examples >= 1000
-    assert classify(4, 10).accepted == naive_accepted(4, 10)
+    assert classify(4, 10).accepted == tuple(ORACLE.enumerate_links(4, 10)[1])
     _report(6, "property-suite configuration and pruned-vs-naive check")
 
 

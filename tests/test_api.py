@@ -55,7 +55,6 @@ MOVED = (
     "wall_flip_weights",
     "verify_degree_inequalities",
     "packed_walls_terminal",
-    "naive_accepted",
 )
 SRC = Path(wblinks.__file__).parent
 

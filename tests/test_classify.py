@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 from pathlib import Path
@@ -38,13 +38,13 @@ from wblinks.classify import (
     classify_stable,
     worker_count,
 )
-from wblinks.link import STAGE_WALL
-from conftest import SCAN, assert_no_process_left
+from wblinks.cli import end_summary
+from wblinks.link import STAGE_BLOWUP, STAGE_INTERIOR, STAGE_WALL
+from conftest import ORACLE, SCAN, assert_no_process_left
 from reference import (
     CyclicQuotient,
     exceptional_patch_types,
     mori_structure,
-    naive_accepted,
     packed_walls_terminal,
     wall_flip_weights,
 )
@@ -53,62 +53,68 @@ P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 P4_LINKS = Path(__file__).parent / "data" / "p4_links_bound39.csv"
 
 
-def literal_terminal(ws, r):
-    """The residue-sum criterion over the full range k = 1..r-1."""
-    return all(sum(k * w % r for w in ws) > r for k in range(1, r))
-
-
-def literal_wps_terminal(ws):
-    """The criterion at the gcd of every subset of the entries > 1."""
-    big = [x for x in ws if x > 1]
-    for n in range(1, len(big) + 1):
-        for subset in combinations(big, n):
-            g = reduce(gcd, subset)
-            if g > 1 and not literal_terminal(ws, g):
-                return False
-    return True
-
-
-def literal_walls_terminal(ws):
-    """Every wall flip of the ascending tuple ws is terminal.
-
-    For each distinct v < ws[-2] the flip is [-1, -v] plus w - v over ws
-    with one v removed.
-    """
-    for v in sorted(set(w for w in ws if w < ws[-2])):
-        rest = list(ws)
-        rest.remove(v)
-        if not literal_wps_terminal([-1, -v] + [w - v for w in rest]):
-            return False
-    return True
+# The stages whose survivors the scan hands to the wall test, and to build_link.
+BLOWUP_STAGES = (STAGE_BLOWUP, STAGE_INTERIOR)
+SCAN_STAGES = BLOWUP_STAGES + (STAGE_WALL,)
 
 
 @cache
-def literal_blowup_survivors(dim, bound):
-    """Ascending tuples with -K interior to Mov and a terminal blowup."""
-    out = []
-    for ws in combinations_with_replacement(range(1, bound + 1), dim):
-        V = sum(ws) - 1
-        if (dim + 1) * ws[-2] > V and literal_terminal(ws, V):
-            out.append(ws)
-    return tuple(out)
+def oracle_answers(dim, bound):
+    """The oracle's answer for each ascending tuple with top weight <= bound, in order."""
+    return {
+        ws: ORACLE.link_answer(ws)
+        for ws in combinations_with_replacement(range(1, bound + 1), dim)
+    }
 
 
-@cache
-def literal_survivors(dim, bound):
-    """Blowup survivors whose wall crossings are all terminal.
+def passing(dim, bound, stages):
+    """The ascending tuples with top weight <= bound that the oracle rejects at none of stages."""
+    refused = {"R:" + stage for stage in stages}
+    return tuple(ws for ws, answer in oracle_answers(dim, bound).items() if answer not in refused)
 
-    Written out independently of the package's half-range helper, subset-gcd
-    closure and flip formula.
+
+def as_oracle_answer(result):
+    """A ``build_link`` result in the oracle's form: ``R:<stage>`` or ``A:<end kind>:<weights>``."""
+    if isinstance(result, Rejected):
+        return "R:" + result.stage
+    kind, weights = end_summary(result.end)
+    return f"A:{kind}:{ORACLE.fmt(weights)}"
+
+
+@pytest.mark.parametrize(
+    "dim, bound, answers",
+    [
+        (3, 30, {STAGE_BLOWUP: 4682, STAGE_INTERIOR: 92, STAGE_WALL: 182,
+                 "divisorial_contraction": 3, "fibration": 1}),
+        (4, 20, {STAGE_BLOWUP: 6960, STAGE_INTERIOR: 130, STAGE_WALL: 1458,
+                 "divisorial_contraction": 302, "fibration": 5}),
+    ],
+)
+def test_build_link_gives_the_oracles_answer_on_every_tuple(dim, bound, answers):
+    """Every ascending tuple: the stage of a rejection, or the end kind and target of a link.
+
+    The oracle tests the end model of every divisorial link, which
+    ``build_link`` proves terminal instead, so no tuple reaches
+    ``end_model_not_terminal``.
     """
-    return tuple(
-        ws for ws in literal_blowup_survivors(dim, bound) if literal_walls_terminal(ws)
-    )
+    expected = oracle_answers(dim, bound)
+    for ws, answer in expected.items():
+        assert as_oracle_answer(build_link(ws, dim)) == answer, ws
+    assert Counter(answer.split(":")[1] for answer in expected.values()) == answers
+
+
+@pytest.mark.parametrize("dim, bound, total", [(3, 40, 4), (4, 30, 400)])
+def test_classify_with_its_ends_is_the_oracles_enumeration(dim, bound, total):
+    """The scan's links, with their ends, are the oracle's naive enumeration's."""
+    _, accepted = ORACLE.enumerate_links(dim, bound)
+    links = classify(dim, bound).links
+    assert {ws: as_oracle_answer(link) for ws, link in links.items()} == accepted
+    assert list(links) == list(accepted) and len(links) == total
 
 
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
 def test_scan_matches_literal_criterion(dim, bound):
-    assert tuple(ws for ws, _ in _survivors(dim, bound, 1, bound)) == literal_survivors(dim, bound)
+    assert tuple(ws for ws, _ in _survivors(dim, bound, 1, bound)) == passing(dim, bound, SCAN_STAGES)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +126,7 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     """The scan's packed wall test against ``is_terminal_wps`` on each flip.
 
     The scan hands the wall test exactly its blowup survivors, each once:
-    the literal ones, so a wrong range of c or d fails here even where the
+    the oracle's, so a wrong range of c or d fails here even where the
     walls would hide it.  Each packed answer is recorded during the scan
     and compared with the scalar one after it.  It is also the answer of
     ``reference.packed_walls_terminal``, which tests each flip at all its
@@ -143,7 +149,7 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     _survivors(dim, bound, 1, bound)
     assert len(seen) == tested
-    assert tuple(sorted(ws for ws, *_ in seen)) == literal_blowup_survivors(dim, bound)
+    assert tuple(sorted(ws for ws, *_ in seen)) == passing(dim, bound, BLOWUP_STAGES)
     for ws, packed, full, early in seen:
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
@@ -237,15 +243,16 @@ def test_divisorial_targets_of_survivors_are_terminal(dim, bound):
     """The end-model proof in ``wblinks.link``, kept as a check.
 
     Every tuple whose blowup and walls are terminal and whose -K is
-    interior is accepted, and when its top two weights differ the target
-    of its divisorial contraction is terminal.
+    interior is accepted, and when its top two weights differ the oracle
+    finds the target of its divisorial contraction terminal: it accepts
+    each of them too, with the same end.
     """
-    for ws in literal_survivors(dim, bound):
-        assert isinstance(build_link(ws, dim), Link), ws
-        top = ws[-1]
-        if ws[-2] < top:
-            target = sorted([1, top] + [top - w for w in ws[:-1]])
-            assert literal_wps_terminal(target), ws
+    survivors = passing(dim, bound, SCAN_STAGES)
+    assert survivors
+    for ws in survivors:
+        link = build_link(ws, dim)
+        assert isinstance(link, Link), ws
+        assert as_oracle_answer(link) == oracle_answers(dim, bound)[ws], ws
 
 
 def test_dim3_answer_follows_from_the_terminal_lemma():
@@ -554,6 +561,101 @@ def test_dim4_1bbd_answer_is_1334_and_1338():
     assert [ws for ws in classify(4, 40).accepted if ws[0] == 1 and 3 <= ws[1] == ws[2] < ws[3]] == accepted
 
 
+# The (a, b, b, d) with 2 <= a < b < d <= 3b - a and b < 40: -K is interior.
+ABBD = [(a, b, b, d) for b in range(3, 40) for a in range(2, b) for d in range(b + 1, 3 * b - a + 1)]
+
+
+def test_dim4_abbd_interior_is_d_at_most_3b_minus_a_with_one_wall_at_a():
+    """First step of the (a, b, b, d) argument in the ``classify`` docstring:
+    -K is interior iff d <= 3b - a, and the only wall is at a."""
+    for b in range(3, 40):
+        for a in range(2, b):
+            for d in range(b + 1, 3 * b + 3):
+                T = BlowupVariety(4, (a, b, b, d))
+                assert antik_in_interior_mov(T) == (d <= 3 * b - a), T
+                assert interior_walls(T) == [a], T
+
+
+def test_dim4_abbd_chart_at_b_leaves_d_b_plus_1_2b_plus_1_2b_minus_a_or_3b_minus_a():
+    """Second step: the chart at b is 1/b(-1, a, d) times a line, terminal
+    only if d = 1 or a + d = 0 mod b, since a = 1 mod b is ruled out."""
+    for ws in ABBD:
+        a, b, _, d = ws
+        chart = exceptional_patch_types(ws)[1]
+        assert chart == CyclicQuotient(b, (-1, a, 0, d))
+        assert chart.is_terminal == is_terminal_cqs((-1, a, d), b)
+        assert chart.is_terminal or not is_terminal_blowup(ws), ws
+        if chart.is_terminal:
+            pairs = [(x, y) for x, y in combinations((-1, a, d), 2) if (x + y) % b == 0]
+            assert pairs and (-1, a) not in pairs, ws
+            assert d in (b + 1, 2 * b + 1, 2 * b - a, 3 * b - a), ws
+
+
+def test_dim4_abbd_chart_at_d_fails_at_d_2b_plus_1_and_3b_minus_a():
+    """Third step: the chart at d, 1/d(-1, a, b, b), fails at k = d - 2 for
+    d = 2b + 1; for d = 3b - a at k = d/g if g = gcd(a, b) > 1, and else at
+    k = j = 1/b mod d, where j >= 5."""
+    for b in range(3, 60):
+        for a in range(2, b):
+            chart = (-1, a, b, b)
+            d = 2 * b + 1
+            assert exceptional_patch_types((a, b, b, d))[3] == CyclicQuotient(d, chart)
+            residues = [(d - 2) * w % d for w in chart]
+            assert residues == [2, d - 2 * a, 1, 1] and sum(residues) <= d
+            assert not is_terminal_blowup((a, b, b, d)), (a, b)
+            d, g = 3 * b - a, gcd(a, b)
+            k = d // g if g > 1 else pow(b, -1, d)
+            residues = [k * w % d for w in chart]
+            assert residues == ([d - k, 0, 0, 0] if g > 1 else [d - k, 3, 1, 1]), (a, b)
+            assert g > 1 or k >= 5, (a, b)
+            assert sum(residues) <= d and not is_terminal_blowup((a, b, b, d)), (a, b)
+
+
+def test_dim4_abbd_d_2b_minus_a_fails_at_the_wall_unless_b_is_a_plus_1():
+    """Fourth step: at d = 2b - a the wall at a, at its entry e = b - a, has
+    only -1 and -a nonzero, so s(k) + s(e - k) <= 2e and it is not terminal
+    unless e = 1, where d = b + 1."""
+    for b in range(3, 60):
+        for a in range(2, b):
+            d, e = 2 * b - a, b - a
+            flip = wall_flip_weights(BlowupVariety(4, (a, b, b, d)), a)
+            assert flip == (-a, -1, e, e, 2 * e)
+            if e == 1:
+                assert d == b + 1
+                continue
+            assert [w % e for w in flip][2:] == [0, 0, 0]
+            sums = [sum(k * w % e for w in flip) for k in range(1, e)]
+            assert all(s + t <= 2 * e for s, t in zip(sums, reversed(sums)))
+            assert not is_terminal_wps(flip), (a, b)
+
+
+def test_dim4_abbd_answer_is_2334_and_2556():
+    """Last step: at d = b + 1 the chart at d fails at k = b unless a = 2;
+    then the wall at 2, at its entry b - 1, is 1/(b-1)(-1, -1, -1, -2) times
+    a line, which fails for b >= 6, and the chart at b needs b odd."""
+    for b in range(3, 60):
+        for a in range(2, b):
+            d = b + 1
+            assert exceptional_patch_types((a, b, b, d))[3] == CyclicQuotient(d, (-1, a, -1, -1))
+            residues = [b * w % d for w in (-1, a, -1, -1)]
+            assert residues == [1, d - a, 1, 1]
+            assert (sum(residues) > d) == (a == 2), (a, b)
+        ws, m = (2, b, b, b + 1), b - 1
+        flip = wall_flip_weights(BlowupVariety(4, ws), 2)
+        assert sorted(w % m for w in flip) == sorted(w % m for w in (-1, -1, -1, -2, 0))
+        if m >= 5:
+            k = -(-4 * m // 5)
+            assert sum(k * w % m for w in (-1, -1, -1, -2)) == 5 * m - 5 * k <= m
+        assert is_terminal_cqs(flip, m) == (b <= 5), b
+        chart = exceptional_patch_types(ws)[1]
+        assert chart == CyclicQuotient(b, (-1, 2, 0, 1))
+        if b % 2 == 0:
+            assert sum(b // 2 * w % b for w in (-1, 2, 0, 1)) == b and not chart.is_terminal
+    accepted = [(2, 3, 3, 4), (2, 5, 5, 6)]
+    assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
+    assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] < ws[1] == ws[2] < ws[3]] == accepted
+
+
 def _entries(field):
     """The integers of one ':'-joined list of the pinned links file."""
     return tuple(int(x) for x in field.split(":"))
@@ -605,15 +707,11 @@ def test_dim4_links_at_bound_39_are_the_pinned_links():
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_drops_only_wall_rejections(dim, bound):
     kept = {ws for ws, _ in _survivors(dim, bound, 1, bound)}
-    dropped = [ws for ws in literal_blowup_survivors(dim, bound) if ws not in kept]
+    dropped = [ws for ws in passing(dim, bound, BLOWUP_STAGES) if ws not in kept]
     assert dropped
     for ws in dropped:
         result = build_link(ws, dim)
         assert isinstance(result, Rejected) and result.stage == STAGE_WALL, ws
-
-
-def test_p3_matches_naive_at_small_bound():
-    assert classify(3, 12).accepted == naive_accepted(3, 12)
 
 
 def test_p4_small_bound_contains_derived_set():
@@ -799,6 +897,29 @@ def test_worker_count_is_capped(monkeypatch):
     assert worker_count(10_000, 4, 40) == 4  # usable CPUs
     assert worker_count(10_000, 3, 2) == 2  # partitions: heads (1,) and (2,)
     assert worker_count(10_000, 4, 2) == 3  # heads (1,1), (1,2) and (2,2)
+
+
+def test_worker_count_keeps_the_tables_of_all_processes_within_the_budget(monkeypatch):
+    """On 64 usable CPUs: 7 processes at the dimension-3 cap, 9 at the dimension-4 cap.
+
+    A pure function of its inputs: no process is started.  --jobs 2 keeps
+    both processes at (4, 40) and at the dimension-4 cap.
+    """
+
+    def refuse():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr("os.fork", refuse)
+    assert SCAN.SCAN_TABLES_BUDGET == 256 * 2**20
+    for dim, bound, capped in [(3, 170, 7), (4, 130, 9), (3, 85, 62)]:
+        n = worker_count(64, dim, bound)
+        tables = SCAN.TABLE_BYTES[dim] * bound**3
+        assert n == capped and n * tables <= SCAN.SCAN_TABLES_BUDGET < (n + 1) * tables
+    assert worker_count(64, 4, 65) == worker_count(64, 4, 40) == 64
+    assert worker_count(2, 4, 40) == worker_count(2, 4, 130) == 2
+    monkeypatch.setattr(SCAN, "SCAN_TABLES_BUDGET", 0)
+    assert worker_count(64, 4, 40) == 1
 
 
 def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):

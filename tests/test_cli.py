@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from wblinks.classify import classify
-from wblinks.cli import main, render_report
+from wblinks.cli import CLOSED_STDOUT, main, render_report
 from conftest import SCAN, assert_no_process_left
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
@@ -411,9 +411,10 @@ def test_jobs_help_shows_default_and_caps(command, capsys):
         main([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert (
-        "--jobs JOBS processes that scan (default: 1), capped by the usable CPUs "
-        "and by the number of heads, and 1 where the platform has no fork; on Linux "
-        "each starts on its own CPU of the affinity mask"
+        "--jobs JOBS processes that scan (default: 1), capped by the usable CPUs, "
+        "by the number of heads and by a 256 MiB budget for the tables of them all, "
+        "and 1 where the platform has no fork; on Linux each starts on its own CPU "
+        "of the affinity mask"
     ) in text
 
 
@@ -456,9 +457,10 @@ def test_commands_do_not_load_the_pool_fractions_or_dataclasses():
 
 # The `python -m wblinks.cli` route, which leaves through `cli.run` without the
 # interpreter's teardown.  A row is (id, argv with <tmp> for tmp_path, exit
-# code, stdout, a pattern of all of stderr); stdout is the pinned CSV's bytes,
-# fields of the JSON document's "result", or CLOSED: a pipe whose read end is
-# closed before the command starts.
+# code, stdout, a pattern of all of stderr); argv may start with NAME=value
+# settings of the environment.  stdout is the pinned CSV's bytes or fields of
+# the JSON document's "result"; stdout or stderr may be CLOSED: a pipe whose
+# read end is closed before the command starts.
 CLOSED = "closed"
 PINNED_CSV = PINNED_P4.read_bytes()
 ROUTE = [
@@ -470,16 +472,22 @@ ROUTE = [
      re.escape("expected 5 tuples, found 4\n")),
     ("refused-bound", "classify --dim 4 --bound 131", 2, b"",
      re.escape(f"error: {OVER.format(4, 131, 130)}\n")),
-    # The answer fits stdout's buffer, so only run's flush meets the closed
-    # pipe; the interpreter's exit then reports it, as without run.
-    ("closed-stdout", "classify --dim 3 --bound 8", 120, CLOSED,
-     r"Exception ignored [^\n]*\nBrokenPipeError: \[Errno 32\] Broken pipe\n"),
+    # A closed stdout exits CLOSED_STDOUT quietly, however the write meets it:
+    # the answer fits stdout's buffer, so only run's flush meets the pipe;
+    ("closed-stdout", "classify --dim 3 --bound 8", CLOSED_STDOUT, CLOSED, ""),
+    # the 19 kB CSV overflows the buffer, so main's write meets it;
+    ("closed-stdout-csv", "classify --dim 4 --bound 39 --format csv", CLOSED_STDOUT, CLOSED, ""),
+    # unbuffered, every write meets it.
+    ("closed-stdout-unbuffered", "PYTHONUNBUFFERED=1 classify --dim 3 --bound 8",
+     CLOSED_STDOUT, CLOSED, ""),
+    # A closed stderr exits the same, and the answer still reaches stdout.
+    ("closed-stderr", "classify --dim 3 --bound 8 --expect 5", CLOSED_STDOUT, {"total": 4}, CLOSED),
 ]
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [pytest.param(*r, id=i) for i, *r in ROUTE])
 def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stderr, tmp_path):
-    """A fresh interpreter with buffered stdout: no PYTHON* variable but PYTHONPATH.
+    """A fresh interpreter: no PYTHON* variable but PYTHONPATH and the row's own.
 
     No row prints a traceback, and the only file written is the pinned CSV,
     by the ``--out`` row.
@@ -487,19 +495,24 @@ def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stde
     argv = [arg.replace(TMP, str(tmp_path)) for arg in argv.split()]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = SRC
-    target = subprocess.PIPE
-    if stdout is CLOSED:
-        read_end, target = os.pipe()
-        os.close(read_end)
+    while re.fullmatch(r"[A-Z_]+=\S*", argv[0]):
+        name, value = argv.pop(0).split("=", 1)
+        env[name] = value
+    targets = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    for name, expected in (("stdout", stdout), ("stderr", stderr)):
+        if expected is CLOSED:
+            read_end, targets[name] = os.pipe()
+            os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "wblinks.cli", *argv], stdout=target,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "wblinks.cli", *argv], **targets,
+                              env=env, timeout=60)
     finally:
-        if stdout is CLOSED:
-            os.close(target)
-    err = proc.stderr.decode()
+        for target in targets.values():
+            if target != subprocess.PIPE:
+                os.close(target)
+    err = (proc.stderr or b"").decode()
     assert proc.returncode == code, err
-    assert re.fullmatch(stderr, err) and "Traceback" not in err, err
+    assert stderr is CLOSED or re.fullmatch(stderr, err) and "Traceback" not in err, err
     if isinstance(stdout, dict):
         expected = json.loads(json.dumps(stdout).replace(TMP, str(tmp_path)))
         assert json.loads(proc.stdout)["result"].items() >= expected.items()

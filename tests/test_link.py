@@ -136,11 +136,6 @@ class TestBuildLink:
             target_weights=(1, 3, 4, 4, 5), center_dim=0, center_index=3
         )
 
-    def test_rejection_stage_order(self):
-        assert build_link([2, 3, 5], 3).stage == "blowup_not_terminal"
-        assert build_link([1, 1, 3], 3).stage == "antik_not_interior"
-        assert build_link([1, 3, 4], 3).stage == "wall_not_terminal"
-
     def test_rejections_are_stable(self):
         for ws, dim in [([1, 3, 4], 3), ([2, 3, 5], 3), ([1, 1, 2, 7], 4)]:
             first = build_link(ws, dim)

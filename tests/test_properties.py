@@ -23,6 +23,7 @@ from wblinks import (
     is_weak_fano,
     singularity_indices,
 )
+from conftest import ORACLE
 from reference import anticanonical_class, mori_structure, verify_degree_inequalities
 
 MANY = settings(max_examples=1000, deadline=None)
@@ -32,31 +33,10 @@ indices = st.integers(1, 50)
 blowup_weight_lists = st.lists(st.integers(1, 20), min_size=2, max_size=4)
 
 
-def smallest_residue(x: int, r: int) -> int:
-    # deliberately naive: repeated shifts instead of %
-    v = x
-    while v < 0:
-        v += r
-    while v >= r:
-        v -= r
-    return v
-
-
-def oracle_terminal(weights, r: int) -> bool:
-    # literal restatement of the residue-sum criterion
-    for k in range(1, r):
-        total = 0
-        for w in weights:
-            total += smallest_residue(k * w, r)
-        if not total > r:
-            return False
-    return True
-
-
 @MANY
 @given(weight_lists, indices)
 def test_cqs_matches_brute_force_oracle(ws, r):
-    assert is_terminal_cqs(ws, r) == oracle_terminal(ws, r)
+    assert is_terminal_cqs(ws, r) == ORACLE.terminal_cqs(ws, r)
 
 
 @MANY

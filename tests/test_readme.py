@@ -12,8 +12,8 @@ import re
 import shlex
 from pathlib import Path
 
-from wblinks.classify import DEFAULT_BOUNDS, MAX_BOUNDS
-from wblinks.cli import MAX_INDEX, MAX_WEIGHTS, main
+from wblinks.classify import DEFAULT_BOUNDS, MAX_BOUNDS, SCAN_TABLES_BUDGET
+from wblinks.cli import CLOSED_STDOUT, MAX_INDEX, MAX_WEIGHTS, main
 from conftest import assert_no_process_left
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +83,8 @@ def test_cli_notes_state_the_codes_limits():
         f" and at most {MAX_BOUNDS[3] // 2} and {MAX_BOUNDS[4] // 2} with `--stabilize`",
         f"{DEFAULT_BOUNDS[3]} for dimension 3",
         f"{DEFAULT_BOUNDS[4]} for dimension 4",
+        f"and {CLOSED_STDOUT} when stdout or stderr is a pipe whose reader has gone",
+        f"would pass a {SCAN_TABLES_BUDGET // 2**20} MiB budget",
     ):
         assert phrase in notes, phrase
 
