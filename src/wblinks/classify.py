@@ -57,23 +57,26 @@ from .singularity import _residue_table
 DEFAULT_BOUNDS = {3: 64, 4: 39}
 
 # The largest bound a scan may run at, per dimension; ``_check_scan`` refuses
-# a larger one before any work.  These are the bounds that a budget of 12 M
-# candidates and 32 MiB of blowup tables admitted: dimension 4 has
-# 11,922,812 candidates at bound 130, and 131 would pass 12 M; dimension 3's
-# blowup tables, about 7 * B**3 bytes at bound B, would pass 32 MiB at 171.
-# Measured in process with Python 3.11, the scan's tables (built by
-# ``_scan_partition``, one list in each scanning process) hold 33.7 MiB as
-# Python objects in a serial dimension-3 scan at 170, and 28.0 MiB in
-# dimension 4 at 130; those scans peak at 50.5 MB and 46.4 MB.
+# a larger one before any work.  Dimension 4 has 11,922,812 candidates at
+# bound 130, and 131 would pass a budget of 12 M candidates; dimension 3's
+# cap is where its blowup tables, in an earlier packed layout, would pass
+# 32 MiB at 171.  Measured in process with Python 3.11, the scan's tables
+# (built by ``_scan_partition``, one list in each scanning process) hold
+# 33.7 MiB as Python objects, 7.19 * B**3 bytes, in a serial dimension-3
+# scan at 170, and 28.0 MiB, 13.38 * B**3 bytes, in dimension 4 at 130;
+# those scans peak at 50.5 MB and 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
-# Each scanning process builds every table, about TABLE_BYTES[dim] * B**3
-# bytes at bound B.  ``worker_count`` starts no more processes than keep
-# that estimate, summed over them, within SCAN_TABLES_BUDGET: 256 MiB,
-# eight times the 32 MiB of one scan's tables above.  That is 7 processes
-# at the dimension-3 cap and 9 at the dimension-4 cap, whose tables, as
-# measured above, hold 236 MiB and 252 MiB in all.
-TABLE_BYTES = {3: 7, 4: 13.5}
+# Each scanning process builds every table, at most TABLE_BYTES[dim] * B**3
+# bytes at bound B from 40 to the cap.  Summed with ``sys.getsizeof`` over
+# the tables' tuples, lists and ints, they take the most at B = 40: 8.15 and
+# 14.59 * B**3 bytes in dimensions 3 and 4, falling to 7.1 and 13.4 near the
+# caps.  ``worker_count`` starts no more processes than keep that bound,
+# summed over them, within SCAN_TABLES_BUDGET: 256 MiB, eight times the
+# 32 MiB of one scan's tables above.  That is 6 processes at the
+# dimension-3 cap and 8 at the dimension-4 cap, whose tables, as measured
+# above, hold 202 MiB and 224 MiB in all.
+TABLE_BYTES = {3: 8.5, 4: 15}
 SCAN_TABLES_BUDGET = 256 * 2**20
 
 
@@ -183,7 +186,7 @@ def _scan_partition(dim: int, bound: int, heads, cut: int) -> list:
     the bound's rows hold every residue mod e.  The blowup test sums dim
     terms and a flip has at most dim + 1 nonzero ones, and a table for n
     terms is exact on n + 1 (see ``_residue_table``).  A full scan meets
-    every index in that range.  The tables take about
+    every index in that range.  The tables take at most
     ``TABLE_BYTES[dim] * B**3`` bytes at bound B: 0.9 MiB at B = 40 and
     6.1 MiB at B = 78 in dimension 4.  The tables go once the share is
     scanned, before the survivors at or below the cut are linked.
@@ -413,8 +416,8 @@ def worker_count(jobs: int, dim: int, bound: int) -> int:
     ``os.sched_getaffinity`` exists (Linux) and ``os.cpu_count()``
     elsewhere; without ``os.fork`` the scan runs in one process.  Each
     process builds every table, so the count is also capped at the number
-    whose tables, ``TABLE_BYTES[dim] * bound**3`` bytes each, fit within
-    ``SCAN_TABLES_BUDGET``, and is never below 1.  A float or a string
+    whose tables, at most ``TABLE_BYTES[dim] * bound**3`` bytes each, fit
+    within ``SCAN_TABLES_BUDGET``, and is never below 1.  A float or a string
     jobs, dim or bound raises TypeError (``operator.index``).
     """
     jobs, dim, bound = map(operator.index, (jobs, dim, bound))
@@ -585,11 +588,34 @@ def classify(dim: int, bound: int, jobs: int = 1) -> ClassificationRun:
       leaves (2, 3, 3, 4) and (2, 5, 5, 6), and ``build_link`` accepts
       both.
 
+    The family (a, a, a + 1, d), 2 <= a, a + 1 < d, is (2, 2, 3, 5),
+    (2, 2, 3, 7), (3, 3, 4, 5), (3, 3, 4, 10), (4, 4, 5, 7) and (5, 5, 6, 8)
+    at every bound >= 10:
+
+    - -K is interior iff 5(a + 1) > 3a + d, that is d <= 2a + 4.
+    - The chart at a + 1 is 1/(a+1)(-1, a, a, d) =
+      1/(a+1)(-1, -1, -1, delta), delta = d mod (a + 1).  At k = a its
+      residues are 1, 1, 1 and a + 1 - delta, which sum to a + 4 - delta,
+      or 3 if delta = 0.  That exceeds a + 1 only if delta is 1 or 2, so
+      d is a + 2, a + 3, 2a + 3 or 2a + 4.
+    - The chart at d is 1/d(-1, a, a, a + 1), whose residue sums must
+      exceed d.  At k = d - 1 the residues are 1, d - a, d - a and
+      d - a - 1, which sum to 3(d - a): 6 at d = a + 2, so a <= 3, and 9
+      at d = a + 3, so a <= 5.  At k = d - 2 they are 2, d - 2a, d - 2a
+      and d - 2a - 2, which sum to 3(d - 2a): 9 at d = 2a + 3, so a = 2,
+      and 12 at d = 2a + 4, so a <= 3.
+    - The chart at a is 1/a(-1, a, a + 1, d) = 1/a(-1, 0, 1, d).  If
+      g = gcd(a, d) > 1, at k = a/g its residues are a - k, 0, k and 0,
+      which sum to a, so a is prime to d.  That drops (2, 2, 3, 4),
+      (3, 3, 4, 6) and (2, 2, 3, 8) and leaves the six, and ``build_link``
+      accepts all of them.
+
     The rest of the dimension-4 answer, 421 quadruples with top weight
-    <= 39 in all, is computed, not proved: the other repeated-weight shapes
-    (6 quadruples) and the 399 strictly increasing ones.  CI checks that
-    it is complete to top weight 130:
-    ``classify --dim 4 --bound 65 --stabilize`` scans once at the cap.
+    <= 39 in all, is computed, not proved: that an accepted (a, a, c, d),
+    2 <= a < c < d, has c = a + 1, and the 399 strictly increasing
+    quadruples.  Tier-1 checks that it is complete to top weight 130: the
+    cap-check rows of ``tests/test_cli.py`` run ``classify --dim 4 --bound
+    65 --stabilize``, which scans once at the cap, serially and forked.
     """
     return _classify(dim, bound, bound, jobs)[0]
 

@@ -40,6 +40,7 @@ from wblinks.classify import (
 )
 from wblinks.cli import end_summary
 from wblinks.link import STAGE_BLOWUP, STAGE_INTERIOR, STAGE_WALL
+from wblinks.singularity import _residue_table
 from conftest import ORACLE, SCAN, assert_no_process_left
 from reference import (
     CyclicQuotient,
@@ -656,6 +657,70 @@ def test_dim4_abbd_answer_is_2334_and_2556():
     assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] < ws[1] == ws[2] < ws[3]] == accepted
 
 
+# The (a, a, a + 1, d) with 2 <= a < 60 and a + 1 < d <= 2a + 4: -K is interior.
+AACD = [(a, a, a + 1, d) for a in range(2, 60) for d in range(a + 2, 2 * a + 5)]
+# What the chart at a + 1 and the chart at d leave of them.
+AACD_LEFT = [(2, 2, 3, 4), (2, 2, 3, 5), (2, 2, 3, 7), (2, 2, 3, 8), (3, 3, 4, 5),
+             (3, 3, 4, 6), (3, 3, 4, 10), (4, 4, 5, 7), (5, 5, 6, 8)]
+
+
+def test_dim4_aacd_chart_at_a_plus_1_leaves_d_a_plus_2_a_plus_3_2a_plus_3_or_2a_plus_4():
+    """First step of the (a, a, a + 1, d) argument in the ``classify``
+    docstring: -K is interior iff d <= 2a + 4, and the chart at a + 1,
+    1/(a+1)(-1, -1, -1, delta) with delta = d mod (a + 1), has residues
+    1, 1, 1 and a + 1 - delta at k = a, which sum to more than a + 1 only
+    if delta is 1 or 2."""
+    for a in range(2, 60):
+        for d in range(a + 2, 2 * a + 8):
+            assert antik_in_interior_mov(BlowupVariety(4, (a, a, a + 1, d))) == (d <= 2 * a + 4)
+    for ws in AACD:
+        a, _, c, d = ws
+        delta = d % c
+        chart = exceptional_patch_types(ws)[2]
+        assert chart == CyclicQuotient(c, (-1, -1, -1, delta))
+        residues = [a * w % c for w in (-1, -1, -1, delta)]
+        assert residues == [1, 1, 1, -delta % c]
+        if sum(residues) <= c:
+            assert not chart.is_terminal and not is_terminal_blowup(ws), ws
+        else:
+            assert delta in (1, 2) and d in (a + 2, a + 3, 2 * a + 3, 2 * a + 4), ws
+
+
+def test_dim4_aacd_chart_at_d_bounds_a():
+    """Second step: the chart at d, 1/d(-1, a, a, a + 1), has residues
+    summing to 3(d - a) at k = d - 1 and to 3(d - 2a) at k = d - 2, so
+    a <= 3 at d = a + 2, a <= 5 at a + 3, a = 2 at 2a + 3 and a <= 3 at
+    2a + 4."""
+    left = []
+    for a in range(2, 60):
+        chart = (-1, a, a, a + 1)
+        for d, k, total, largest in [(a + 2, a + 1, 6, 3), (a + 3, a + 2, 9, 5),
+                                     (2 * a + 3, 2 * a + 1, 9, 2), (2 * a + 4, 2 * a + 2, 12, 3)]:
+            ws = (a, a, a + 1, d)
+            assert exceptional_patch_types(ws)[3] == CyclicQuotient(d, chart)
+            assert sum(k * w % d for w in chart) == total
+            assert (total > d) == (a <= largest), ws
+            assert a <= largest or not is_terminal_blowup(ws), ws
+            left += [ws] if a <= largest else []
+    assert sorted(left) == AACD_LEFT
+
+
+def test_dim4_aacd_answer_is_the_six_with_a_prime_to_d():
+    """Last step: the chart at a, 1/a(-1, 0, 1, d), has residue sum a at
+    k = a/g if g = gcd(a, d) > 1.  That drops (2, 2, 3, 4), (3, 3, 4, 6) and
+    (2, 2, 3, 8) and leaves six, which ``build_link`` accepts."""
+    for ws in AACD_LEFT:
+        a, d = ws[0], ws[3]
+        chart = exceptional_patch_types(ws)[0]
+        assert chart == CyclicQuotient(a, (-1, 0, 1, d))
+        if (g := gcd(a, d)) > 1:
+            assert sum(a // g * w % a for w in (-1, 0, 1, d)) == a and not chart.is_terminal
+    accepted = [ws for ws in AACD_LEFT if gcd(ws[0], ws[3]) == 1]
+    assert accepted == [(2, 2, 3, 5), (2, 2, 3, 7), (3, 3, 4, 5), (3, 3, 4, 10), (4, 4, 5, 7), (5, 5, 6, 8)]
+    assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
+    assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] == ws[1] == ws[2] - 1 < ws[3] - 1] == accepted
+
+
 def _entries(field):
     """The integers of one ':'-joined list of the pinned links file."""
     return tuple(int(x) for x in field.split(":"))
@@ -725,15 +790,6 @@ def test_p4_small_bound_contains_derived_set():
         (1, 2, 3, 3),
     }
     assert expected <= set(run.accepted)
-
-
-def test_deterministic_across_job_counts(two_cpus):
-    serial = classify(4, 8, jobs=1)
-    parallel = classify(4, 8, jobs=4)
-    assert_no_process_left()
-    assert parallel.jobs == 2
-    assert serial.accepted == parallel.accepted
-    assert serial.shape_counts == parallel.shape_counts
 
 
 def test_accepted_sorted_and_ascending():
@@ -900,10 +956,14 @@ def test_worker_count_is_capped(monkeypatch):
 
 
 def test_worker_count_keeps_the_tables_of_all_processes_within_the_budget(monkeypatch):
-    """On 64 usable CPUs: 7 processes at the dimension-3 cap, 9 at the dimension-4 cap.
+    """On 64 usable CPUs: 6 processes at the dimension-3 cap, 8 at the dimension-4 cap.
 
-    A pure function of its inputs: no process is started.  --jobs 2 keeps
-    both processes at (4, 40) and at the dimension-4 cap.
+    One process's tables, the list ``_scan_partition`` builds summed with
+    ``sys.getsizeof`` over it, its tuples and their lists and ints, take at
+    most ``TABLE_BYTES[dim] * B**3`` bytes from B = 40 to the cap, so the
+    processes admitted hold at most the budget.  A pure function of its
+    inputs: no process is started.  --jobs 2 keeps both processes at
+    (4, 40) and at the dimension-4 cap.
     """
 
     def refuse():
@@ -912,10 +972,17 @@ def test_worker_count_keeps_the_tables_of_all_processes_within_the_budget(monkey
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
     monkeypatch.setattr("os.fork", refuse)
     assert SCAN.SCAN_TABLES_BUDGET == 256 * 2**20
-    for dim, bound, capped in [(3, 170, 7), (4, 130, 9), (3, 85, 62)]:
+    for dim, bound, capped in [(3, 170, 6), (4, 130, 8), (3, 85, 51)]:
         n = worker_count(64, dim, bound)
         tables = SCAN.TABLE_BYTES[dim] * bound**3
         assert n == capped and n * tables <= SCAN.SCAN_TABLES_BUDGET < (n + 1) * tables
+    for dim in (3, 4):
+        for bound in (40, 48, 85, 128, MAX_BOUNDS[dim]):
+            tables = [None, None] + [_residue_table(r, dim, bound) for r in range(2, dim * bound)]
+            size = sys.getsizeof(tables)
+            size += sum(sys.getsizeof(x) for table in tables[2:] for x in (table, *table, *table[0]))
+            assert size <= SCAN.TABLE_BYTES[dim] * bound**3, (dim, bound, size / bound**3)
+            assert worker_count(64, dim, bound) * size <= SCAN.SCAN_TABLES_BUDGET, (dim, bound)
     assert worker_count(64, 4, 65) == worker_count(64, 4, 40) == 64
     assert worker_count(2, 4, 40) == worker_count(2, 4, 130) == 2
     monkeypatch.setattr(SCAN, "SCAN_TABLES_BUDGET", 0)

@@ -4,16 +4,18 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from wblinks.classify import classify
-from wblinks.cli import CLOSED_STDOUT, main, render_report
-from conftest import SCAN, assert_no_process_left
+from wblinks.cli import CLOSED_STDOUT, main
+from conftest import SCAN
+from test_acceptance import P4_SHAPE_COUNTS
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -122,68 +124,8 @@ class TestLink:
         assert code == 0
         assert doc["result"] == result
 
-    def test_byte_identical_result(self):
-        docs = [run_json(["link", "-w", "1,2,5", "--dim", "3"])[1] for _ in range(2)]
-        assert json.dumps(docs[0]["result"], sort_keys=True) == json.dumps(
-            docs[1]["result"], sort_keys=True
-        )
-
 
 class TestClassify:
-    def test_expect_pass(self):
-        code, doc = run_json(
-            ["classify", "--dim", "3", "--bound", "64", "--expect", "4"]
-        )
-        assert code == 0
-        assert doc["result"]["total"] == 4
-        assert doc["result"]["accepted"] == [
-            [1, 1, 1],
-            [1, 1, 2],
-            [1, 2, 3],
-            [1, 2, 5],
-        ]
-
-    def test_expect_mismatch_exits_3(self, capsys):
-        code, _ = run_cli(["classify", "--dim", "3", "--bound", "64", "--expect", "5"])
-        assert code == 3
-        capsys.readouterr()
-
-    def test_csv_format(self):
-        code, text = run_cli(["classify", "--dim", "3", "--bound", "64", "--format", "csv"])
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["weights", "end_kind", "target"]
-        assert ["1:2:5", "divisorial_contraction", "1:3:4:5"] in rows
-
-    def test_csv_json_same_accepted_set(self):
-        _, text = run_cli(["classify", "--dim", "3", "--bound", "64", "--format", "csv"])
-        csv_set = {
-            tuple(int(x) for x in row[0].split(":"))
-            for row in list(csv.reader(io.StringIO(text)))[1:]
-        }
-        _, doc = run_json(["classify", "--dim", "3", "--bound", "64"])
-        json_set = {tuple(ws) for ws in doc["result"]["accepted"]}
-        assert csv_set == json_set
-
-    def test_out_file(self, tmp_path):
-        target = tmp_path / "p3.csv"
-        code, doc = run_json(
-            ["classify", "--dim", "3", "--bound", "64", "--format", "csv",
-             "--out", str(target)]
-        )
-        assert code == 0
-        with target.open() as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["weights", "end_kind", "target"]
-        assert doc["result"]["total"] == 4
-
-    def test_stabilize_flag(self):
-        code, doc = run_json(
-            ["classify", "--dim", "3", "--bound", "16", "--stabilize"]
-        )
-        assert code == 0
-        assert doc["result"]["stabilized"] is True
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_stabilize_scans_once_at_twice_the_bound(self, scans, fmt):
         code, _ = run_cli(
@@ -212,28 +154,6 @@ class TestClassify:
         assert stab["result"]["accepted"] == plain["result"]["accepted"]
         assert stab["result"]["shape_counts"] == plain["result"]["shape_counts"]
 
-    def test_dim4_bound16_stabilize_csv_matches_pinned_rows(self):
-        code, text = run_cli(
-            ["classify", "--dim", "4", "--bound", "16", "--stabilize", "--format", "csv"]
-        )
-        assert code == 0
-        with PINNED_P4.open(newline="") as fh:
-            header, *pinned = csv.reader(fh)
-        expected = [row for row in pinned if int(row[0].split(":")[-1]) <= 16]
-        assert len(expected) == 228
-        assert list(csv.reader(io.StringIO(text))) == [header] + expected
-
-    def test_dim4_bound39_matches_pinned_csv(self):
-        # The full 421-tuple answer with end kinds and targets, as written by
-        # `wblinks classify --dim 4 --bound 39 --format csv`.
-        code, text = run_cli(["classify", "--dim", "4", "--bound", "39", "--format", "csv"])
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(text)))
-        with PINNED_P4.open(newline="") as fh:
-            expected = list(csv.reader(fh))
-        assert len(expected) == 1 + 421
-        assert rows == expected
-
     @pytest.mark.parametrize("dim, bound, total", [(3, 64, 4), (4, 39, 421)])
     def test_default_bound_is_per_dimension(self, scans, dim, bound, total):
         code, doc = run_json(["classify", "--dim", str(dim)])
@@ -255,59 +175,12 @@ class TestClassify:
         assert "(1,2,5)" in text
 
 
-# `wblinks report --dim 3 --bound 64`, byte for byte.
-DIM3_REPORT = """\
-# Sarkisov links from weighted blowups of P^3 (bound 64)
-
-| weights | flip steps | end map | model |
-| --- | --- | --- | --- |
-| (1,1,1) |  | Fibration | P^1-bundle over P^2 |
-| (1,1,2) |  | Divisorial Contraction to P^1 | P(1,1,1,2) |
-| (1,2,3) | (1,1,-1,-2) | (1,1,2)-Weighted blowup of a smooth point | P(1,1,2,3) |
-| (1,2,5) | (1,1,-1,-4) | Kawamata blowup of 1/3(1,1,2) | P(1,3,4,5) |
-
-"""
-
-# SHA-256 of `wblinks report --dim 4 --bound 39`, at any --jobs.
-DIM4_REPORT_SHA256 = "7365882f6db872c3787293c6f863a54db70f192581cbb3224e37fd58b96a99ed"
-
-
 class TestReport:
-    def test_dim3_summary_table(self):
-        code, text = run_cli(["report", "--dim", "3", "--bound", "64"])
-        assert code == 0
-        assert text == DIM3_REPORT
-
-    def test_dim4_bound39_models_match_pinned_csv(self):
-        with PINNED_P4.open(newline="") as fh:
-            expected = list(csv.reader(fh))[1:]
-        rows = [
-            line for line in render_report(classify(4, 39)).splitlines()
-            if line.startswith("| (")
-        ]
-        assert len(rows) == len(expected) == 421
-        for line, (ws, kind, target) in zip(rows, expected):
-            weights, _, end_map, model = (c.strip() for c in line.strip("|").split("|"))
-            assert weights == "(" + ws.replace(":", ",") + ")"
-            target = "P(" + target.replace(":", ",") + ")"
-            if kind == "fibration":
-                assert end_map == "Fibration"
-                assert model.startswith(target + "-fibration over P^")
-            else:
-                assert (end_map, model) == ("Divisorial Contraction", target)
-
     @pytest.mark.parametrize("dim, bound", [(3, 64), (4, 39)])
     def test_default_bound_is_per_dimension(self, scans, dim, bound):
         code, _ = run_cli(["report", "--dim", str(dim)])
         assert code == 0
         assert scans == [(dim, bound, 1, bound)]
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_dim4_bound39_report_is_pinned(self, two_cpus, jobs):
-        code, text = run_cli(["report", "--dim", "4", "--bound", "39", "--jobs", jobs])
-        assert_no_process_left()
-        assert code == 0
-        assert hashlib.sha256(text.encode()).hexdigest() == DIM4_REPORT_SHA256
 
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])
@@ -424,9 +297,62 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-# Runs in a fresh interpreter; prints the modules of LAZY loaded so far,
-# once after the import and once after each command.  The parallel scan
-# forks its own processes, so it loads no pool either.
+# The two routes into the CLI, each in a fresh interpreter: `python -m
+# wblinks.cli` on src/, and the installed `wblinks` script.  Both leave
+# through `cli.run`.  No PYTHON* variable is set but PYTHONWARNINGS=error, so
+# any warning fails the run (a fork in a process with threads warns from
+# Python 3.12), and PYTHONPATH on the module route.
+BARE_ENV = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+BARE_ENV["PYTHONWARNINGS"] = "error"
+TESTS = Path(__file__).parent
+
+
+@cache
+def installed_script():
+    """The `wblinks` script on PATH and its interpreter, or why none is run.
+
+    The script counts only if the package its interpreter imports is
+    byte-equal to src/wblinks, so a stale install is skipped: it neither
+    fails the installed route nor passes it for code that is not src/.
+    """
+    script = shutil.which("wblinks")
+    if script is None:
+        return "no wblinks script on PATH"
+    with open(script, "rb") as fh:
+        python = fh.readline().removeprefix(b"#!").strip().decode(errors="replace")
+    try:
+        found = subprocess.run([python, "-c", "import wblinks; print(wblinks.__file__)"],
+                               env=BARE_ENV, cwd=TESTS, capture_output=True, text=True, timeout=60)
+    except OSError as exc:
+        return f"{script}: its interpreter {python!r} does not start: {exc}"
+    package = Path(found.stdout.strip()).parent
+    if found.returncode or py_files(package) != py_files(Path(SRC) / "wblinks"):
+        return f"{script} runs {package}, whose files are not those of src/wblinks"
+    return script, python
+
+
+def py_files(package):
+    return {path.name: path.read_bytes() for path in package.glob("*.py")}
+
+
+@pytest.fixture(params=["module", "installed"])
+def route(request):
+    """(interpreter, environment, the command that starts the CLI) of one route.
+
+    The installed route skips, with the reason, where no script is run.
+    """
+    if request.param == "module":
+        return sys.executable, dict(BARE_ENV, PYTHONPATH=SRC), [sys.executable, "-m", "wblinks.cli"]
+    found = installed_script()
+    if isinstance(found, str):
+        pytest.skip(found)
+    script, python = found
+    return python, BARE_ENV, [script]
+
+
+# Prints the modules of LAZY loaded so far, once after the import and once
+# after each command.  The parallel scan forks its own processes, so it
+# loads no pool either.
 COLD_START = """
 import io, json, os, sys
 LAZY = ("concurrent.futures", "multiprocessing", "fractions", "dataclasses", "inspect")
@@ -446,30 +372,95 @@ print(json.dumps(loaded))
 """
 
 
-def test_commands_do_not_load_the_pool_fractions_or_dataclasses():
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
+def test_commands_do_not_load_the_pool_fractions_or_dataclasses(route):
+    python, env, _ = route
+    proc = subprocess.run([python, "-c", COLD_START], env=env, cwd=TESTS,
+                          capture_output=True, text=True, check=True, timeout=60)
     assert json.loads(proc.stdout) == [[]] * 6
 
 
-# The `python -m wblinks.cli` route, which leaves through `cli.run` without the
-# interpreter's teardown.  A row is (id, argv with <tmp> for tmp_path, exit
-# code, stdout, a pattern of all of stderr); argv may start with NAME=value
-# settings of the environment.  stdout is the pinned CSV's bytes or fields of
-# the JSON document's "result"; stdout or stderr may be CLOSED: a pipe whose
-# read end is closed before the command starts.
-CLOSED = "closed"
+# `wblinks classify --dim 3 --bound 64 --format csv`, byte for byte.
+DIM3_CSV = b"""weights,end_kind,target
+1:1:1,fibration,1:1
+1:1:2,divisorial_contraction,1:1:1:2
+1:2:3,divisorial_contraction,1:1:2:3
+1:2:5,divisorial_contraction,1:3:4:5
+""".replace(b"\n", b"\r\n")
+
+# `wblinks report --dim 3 --bound 64`, byte for byte.
+DIM3_REPORT = b"""\
+# Sarkisov links from weighted blowups of P^3 (bound 64)
+
+| weights | flip steps | end map | model |
+| --- | --- | --- | --- |
+| (1,1,1) |  | Fibration | P^1-bundle over P^2 |
+| (1,1,2) |  | Divisorial Contraction to P^1 | P(1,1,1,2) |
+| (1,2,3) | (1,1,-1,-2) | (1,1,2)-Weighted blowup of a smooth point | P(1,1,2,3) |
+| (1,2,5) | (1,1,-1,-4) | Kawamata blowup of 1/3(1,1,2) | P(1,3,4,5) |
+
+"""
+
+# SHA-256 of `wblinks report --dim 4 --bound 39`, at any --jobs.
+DIM4_REPORT_SHA256 = "7365882f6db872c3787293c6f863a54db70f192581cbb3224e37fd58b96a99ed"
+
+
+# The CLI's runs, each on both routes.  A row is (id, argv with <tmp> for
+# tmp_path, exit code, stdout, a pattern of all of stderr); argv may start
+# with NAME=value settings of the environment.  stdout is all its bytes, the
+# SHA-256 of them, fields of the JSON document's "result", or CLOSED: a pipe
+# whose read end is closed before the command starts; so may stderr be.  A
+# row with --jobs 2 runs only where 2 CPUs are usable, and on JSON asserts
+# that inputs.jobs is 2: worker_count would otherwise scan in one process.
+CLOSED = object()
 PINNED_CSV = PINNED_P4.read_bytes()
+PINNED_LINES = PINNED_CSV.splitlines(keepends=True)
+P4_ACCEPTED = [[int(w) for w in line.split(b",")[0].split(b":")] for line in PINNED_LINES[1:]]
+# The stabilized CSV at 16 is the pinned rows with top weight <= 16.
+PINNED_CSV_16 = PINNED_LINES[0] + b"".join(
+    line for line, ws in zip(PINNED_LINES[1:], P4_ACCEPTED) if ws[-1] <= 16
+)
+
+
+def p4_result(bound, stabilized, increasing):
+    """All of "result" for dim 4 at a bound in [16, 65], given its strictly increasing count."""
+    accepted = [ws for ws in P4_ACCEPTED if ws[-1] <= bound]
+    shapes = dict(P4_SHAPE_COUNTS, **{"strictly-increasing": increasing})
+    return {"accepted": accepted, "bound": bound, "dim": 4, "shape_counts": shapes,
+            "stabilized": stabilized, "total": len(accepted)}
+
+
 ROUTE = [
+    ("expect", "classify --dim 3 --bound 64 --expect 4", 0,
+     {"accepted": [[1, 1, 1], [1, 1, 2], [1, 2, 3], [1, 2, 5]]}, ""),
+    ("expect-mismatch", "classify --dim 3 --bound 64 --expect 5", 3, {"total": 4},
+     re.escape("expected 5 tuples, found 4\n")),
+    # The dimension-3 cap, where the scan's tables are largest; forked, the
+    # row rule shortens this scan the most.
+    ("dim3-cap", "classify --dim 3 --bound 170 --expect 4", 0, {"total": 4}, ""),
+    ("dim3-cap-jobs2", "classify --dim 3 --bound 170 --jobs 2 --expect 4", 0, {"total": 4}, ""),
+    ("csv-dim3", "classify --dim 3 --bound 64 --format csv", 0, DIM3_CSV, ""),
+    ("link", "link --dim 3 -w 1,2,5", 0, {"accepted": True}, ""),
+    ("check", "check -w 1,2,5", 0, {"blowup_terminal": True}, ""),
+    ("report", "report --dim 3 --bound 64", 0, DIM3_REPORT, ""),
+    ("report-dim4", "report --dim 4 --bound 39", 0, DIM4_REPORT_SHA256, ""),
+    ("report-dim4-jobs2", "report --dim 4 --bound 39 --jobs 2", 0, DIM4_REPORT_SHA256, ""),
     ("csv", "classify --dim 4 --bound 39 --format csv", 0, PINNED_CSV, ""),
     ("csv-jobs2", "classify --dim 4 --bound 39 --format csv --jobs 2", 0, PINNED_CSV, ""),
     ("out", "classify --dim 4 --bound 39 --format csv --out <tmp>/p4.csv", 0,
      {"written": "<tmp>/p4.csv", "total": 421}, ""),
-    ("expect-mismatch", "classify --dim 3 --bound 64 --expect 5", 3, {"total": 4},
-     re.escape("expected 5 tuples, found 4\n")),
+    # Each forked process stops looking above the bound at its own first
+    # accepted tuple.  16 is not stable: 32 accepts more quadruples.
+    ("stabilize-csv", "classify --dim 4 --bound 16 --stabilize --format csv", 0, PINNED_CSV_16, ""),
+    ("stabilize-csv-jobs2", "classify --dim 4 --bound 16 --stabilize --format csv --jobs 2", 0,
+     PINNED_CSV_16, ""),
+    ("stabilize", "classify --dim 4 --bound 16 --stabilize", 0, p4_result(16, False, 206), ""),
+    ("stabilize-jobs2", "classify --dim 4 --bound 16 --stabilize --jobs 2", 0,
+     p4_result(16, False, 206), ""),
+    # The cap check: one scan at the dimension-4 cap, 130, accepts no
+    # quadruple with top weight in (39, 130].
+    ("cap", "classify --dim 4 --bound 65 --stabilize --expect 421", 0, p4_result(65, True, 399), ""),
+    ("cap-jobs2", "classify --dim 4 --bound 65 --stabilize --jobs 2 --expect 421", 0,
+     p4_result(65, True, 399), ""),
     ("refused-bound", "classify --dim 4 --bound 131", 2, b"",
      re.escape(f"error: {OVER.format(4, 131, 130)}\n")),
     # A closed stdout exits CLOSED_STDOUT quietly, however the write meets it:
@@ -486,15 +477,14 @@ ROUTE = [
 
 
 @pytest.mark.parametrize("argv, code, stdout, stderr", [pytest.param(*r, id=i) for i, *r in ROUTE])
-def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stderr, tmp_path):
-    """A fresh interpreter: no PYTHON* variable but PYTHONPATH and the row's own.
-
-    No row prints a traceback, and the only file written is the pinned CSV,
-    by the ``--out`` row.
-    """
+def test_each_route_exits_with_its_answer_written(route, argv, code, stdout, stderr, tmp_path):
+    """No row prints a traceback, and the only file written is the pinned CSV,
+    by the ``--out`` row."""
     argv = [arg.replace(TMP, str(tmp_path)) for arg in argv.split()]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = SRC
+    if "--jobs" in argv and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 usable CPUs, so --jobs 2 would scan in one process")
+    _, env, command = route
+    env = dict(env)
     while re.fullmatch(r"[A-Z_]+=\S*", argv[0]):
         name, value = argv.pop(0).split("=", 1)
         env[name] = value
@@ -504,8 +494,7 @@ def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stde
             read_end, targets[name] = os.pipe()
             os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "wblinks.cli", *argv], **targets,
-                              env=env, timeout=60)
+        proc = subprocess.run([*command, *argv], **targets, env=env, timeout=60)
     finally:
         for target in targets.values():
             if target != subprocess.PIPE:
@@ -514,8 +503,12 @@ def test_the_module_route_exits_with_its_answer_written(argv, code, stdout, stde
     assert proc.returncode == code, err
     assert stderr is CLOSED or re.fullmatch(stderr, err) and "Traceback" not in err, err
     if isinstance(stdout, dict):
+        doc = json.loads(proc.stdout)
         expected = json.loads(json.dumps(stdout).replace(TMP, str(tmp_path)))
-        assert json.loads(proc.stdout)["result"].items() >= expected.items()
+        assert doc["result"].items() >= expected.items()
+        assert "--jobs" not in argv or doc["inputs"]["jobs"] == 2
+    elif isinstance(stdout, str):
+        assert hashlib.sha256(proc.stdout).hexdigest() == stdout
     elif stdout is not CLOSED:
         assert proc.stdout == stdout
     written = [PINNED_CSV] if "--out" in argv else []
