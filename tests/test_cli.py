@@ -1,9 +1,9 @@
-import csv
 import hashlib
 import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from wblinks.cli import CLOSED_STDOUT, main
-from conftest import SCAN
+from conftest import SCAN, assert_no_process_left
 from test_acceptance import P4_SHAPE_COUNTS
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
@@ -182,6 +182,12 @@ class TestReport:
         assert code == 0
         assert scans == [(dim, bound, 1, bound)]
 
+    def test_dim4_bound39_report_is_pinned(self, two_cpus):
+        """Forked on any host: the --jobs 2 ROUTE rows skip below 2 usable CPUs."""
+        code, text = run_cli(["report", "--dim", "4", "--bound", "39", "--jobs", "2"])
+        assert_no_process_left()
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, DIM4_REPORT_SHA256)
+
     def test_dim4_rows_carry_weights_only(self):
         code, text = run_cli(["report", "--dim", "4", "--bound", "6"])
         assert code == 0
@@ -319,14 +325,19 @@ def installed_script():
     if script is None:
         return "no wblinks script on PATH"
     with open(script, "rb") as fh:
-        python = fh.readline().removeprefix(b"#!").strip().decode(errors="replace")
+        first, second = (fh.readline().decode(errors="replace") for _ in range(2))
+    # pip writes `#!/bin/sh` and then `'''exec' <python> "$0" "$@"` where the
+    # interpreter's path is too long for a `#!` line or holds a space.
     try:
+        python = shlex.split(second)[1] if first.strip() == "#!/bin/sh" else first.removeprefix("#!").strip()
         found = subprocess.run([python, "-c", "import wblinks; print(wblinks.__file__)"],
                                env=BARE_ENV, cwd=TESTS, capture_output=True, text=True, timeout=60)
-    except OSError as exc:
-        return f"{script}: its interpreter {python!r} does not start: {exc}"
+    except (OSError, ValueError, IndexError) as exc:
+        return f"{script}: no interpreter named by its first lines starts: {exc!r}"
+    if found.returncode:
+        return f"{script}: its interpreter {python} does not import wblinks:\n{found.stderr}"
     package = Path(found.stdout.strip()).parent
-    if found.returncode or py_files(package) != py_files(Path(SRC) / "wblinks"):
+    if py_files(package) != py_files(Path(SRC) / "wblinks"):
         return f"{script} runs {package}, whose files are not those of src/wblinks"
     return script, python
 
