@@ -58,13 +58,14 @@ DEFAULT_BOUNDS = {3: 64, 4: 39}
 
 # The largest bound a scan may run at, per dimension; ``_check_scan`` refuses
 # a larger one before any work.  Dimension 4 has 11,922,812 candidates at
-# bound 130, and 131 would pass a budget of 12 M candidates; dimension 3's
-# cap is where its blowup tables, in an earlier packed layout, would pass
-# 32 MiB at 171.  Measured in process with Python 3.11, the scan's tables
-# (built by ``_scan_partition``, one list in each scanning process) hold
-# 33.7 MiB as Python objects, 7.19 * B**3 bytes, in a serial dimension-3
-# scan at 170, and 28.0 MiB, 13.38 * B**3 bytes, in dimension 4 at 130;
-# those scans peak at 50.5 MB and 46.4 MB.
+# bound 130, and 131 would pass a budget of 12 M candidates.  Dimension 3's
+# cap follows from no budget of the current scan: it is kept from an earlier
+# packed layout, whose blowup tables would have passed 32 MiB at 171.
+# Measured in process with Python 3.11, the scan's tables (built by
+# ``_scan_partition``, one list in each scanning process) hold 33.7 MiB as
+# Python objects, 7.19 * B**3 bytes, in a serial dimension-3 scan at 170,
+# and 28.0 MiB, 13.38 * B**3 bytes, in dimension 4 at 130; those scans peak
+# at 50.5 MB and 46.4 MB.
 MAX_BOUNDS = {3: 170, 4: 130}
 
 # Each scanning process builds every table, at most TABLE_BYTES[dim] * B**3

@@ -86,9 +86,11 @@ def is_weak_fano(T: BlowupVariety) -> str:
     return NOT_WEAK_FANO
 
 
-def antik_degree(T: BlowupVariety) -> Fraction:
-    """(-K_T)^d = (d+1)^d - (sum(a_i) - 1)^d / prod(a_i), exactly."""
-    # Imported here: only `check` needs it, and it loads decimal at start.
+def antik_degree(T: BlowupVariety):
+    """(-K_T)^d = (d+1)^d - (sum(a_i) - 1)^d / prod(a_i), exactly, as a ``Fraction``."""
+    # Imported here: only `check` needs it, and it loads decimal at start.  So
+    # the return type is not annotated: ``typing.get_type_hints`` would need
+    # the name at module level.
     from fractions import Fraction
 
     d = T.dim

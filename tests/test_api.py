@@ -1,6 +1,7 @@
 """The names that ``wblinks`` exports."""
 
 import ast
+import typing
 from pathlib import Path
 
 import pytest
@@ -36,10 +37,17 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
+    """Each name resolves, and so do the annotations of each function and class.
+
+    ``typing.get_type_hints`` evaluates them in their module's namespace.
+    """
     assert set(wblinks.__all__) == PUBLIC
     assert len(wblinks.__all__) == len(PUBLIC)
     for name in PUBLIC:
-        assert getattr(wblinks, name) is not None, name
+        obj = getattr(wblinks, name)
+        assert obj is not None, name
+        if callable(obj):
+            typing.get_type_hints(obj)
 
 
 # Reference forms that no command runs; they live in tests/reference.py.

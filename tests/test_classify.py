@@ -54,11 +54,6 @@ P3_ANSWER = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 5))
 P4_LINKS = Path(__file__).parent / "data" / "p4_links_bound39.csv"
 
 
-# The stages whose survivors the scan hands to the wall test, and to build_link.
-BLOWUP_STAGES = (STAGE_BLOWUP, STAGE_INTERIOR)
-SCAN_STAGES = BLOWUP_STAGES + (STAGE_WALL,)
-
-
 @cache
 def oracle_answers(dim, bound):
     """The oracle's answer for each ascending tuple with top weight <= bound, in order."""
@@ -68,10 +63,18 @@ def oracle_answers(dim, bound):
     }
 
 
-def passing(dim, bound, stages):
-    """The ascending tuples with top weight <= bound that the oracle rejects at none of stages."""
-    refused = {"R:" + stage for stage in stages}
+def blowup_survivors(dim, bound):
+    """The tuples of ``oracle_answers`` that the scan hands to its wall test.
+
+    They are the ones the oracle rejects neither at the blowup nor at -K.
+    """
+    refused = {"R:" + STAGE_BLOWUP, "R:" + STAGE_INTERIOR}
     return tuple(ws for ws, answer in oracle_answers(dim, bound).items() if answer not in refused)
+
+
+@cache
+def serial_run(dim, bound):
+    return classify(dim, bound)
 
 
 def as_oracle_answer(result):
@@ -104,18 +107,26 @@ def test_build_link_gives_the_oracles_answer_on_every_tuple(dim, bound, answers)
     assert Counter(answer.split(":")[1] for answer in expected.values()) == answers
 
 
-@pytest.mark.parametrize("dim, bound, total", [(3, 40, 4), (4, 30, 400)])
-def test_classify_with_its_ends_is_the_oracles_enumeration(dim, bound, total):
-    """The scan's links, with their ends, are the oracle's naive enumeration's."""
-    _, accepted = ORACLE.enumerate_links(dim, bound)
-    links = classify(dim, bound).links
-    assert {ws: as_oracle_answer(link) for ws, link in links.items()} == accepted
-    assert list(links) == list(accepted) and len(links) == total
-
-
-@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
-def test_scan_matches_literal_criterion(dim, bound):
-    assert tuple(ws for ws, _ in _survivors(dim, bound, 1, bound)) == passing(dim, bound, SCAN_STAGES)
+@pytest.mark.parametrize(
+    "dim, bound, accepted, dropped", [(3, 40, 4, 322), (4, 40, 421, 11108), (5, 12, 1458, 831)]
+)
+def test_scan_gives_the_oracles_links_and_drops_only_wall_rejections(dim, bound, accepted, dropped):
+    """The scan returns the oracle's accepted tuples, in its ascending order,
+    each with the link ``build_link`` gives it and the oracle's end kind and
+    target.  Every blowup survivor the scan drops is a wall rejection to
+    both the oracle and ``build_link``.
+    """
+    answers = oracle_answers(dim, bound)
+    pairs = _survivors(dim, bound, 1, bound)
+    assert [ws for ws, _ in pairs] == [ws for ws, answer in answers.items() if answer[0] == "A"]
+    assert len(pairs) == accepted
+    for ws, link in pairs:
+        assert link == build_link(ws, dim) and as_oracle_answer(link) == answers[ws], ws
+    kept = dict(pairs)
+    drops = [ws for ws in blowup_survivors(dim, bound) if ws not in kept]
+    assert len(drops) == dropped
+    for ws in drops:
+        assert answers[ws] == as_oracle_answer(build_link(ws, dim)) == "R:" + STAGE_WALL, ws
 
 
 @pytest.mark.parametrize(
@@ -150,7 +161,7 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
     monkeypatch.setattr(SCAN, "_walls_terminal", record)
     _survivors(dim, bound, 1, bound)
     assert len(seen) == tested
-    assert tuple(sorted(ws for ws, *_ in seen)) == passing(dim, bound, BLOWUP_STAGES)
+    assert tuple(sorted(ws for ws, *_ in seen)) == blowup_survivors(dim, bound)
     for ws, packed, full, early in seen:
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
@@ -239,23 +250,6 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
         assert sum(V // 2 * w % V for w in ws) <= V, ws
 
 
-@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24), (5, 12)])
-def test_divisorial_targets_of_survivors_are_terminal(dim, bound):
-    """The end-model proof in ``wblinks.link``, kept as a check.
-
-    Every tuple whose blowup and walls are terminal and whose -K is
-    interior is accepted, and when its top two weights differ the oracle
-    finds the target of its divisorial contraction terminal: it accepts
-    each of them too, with the same end.
-    """
-    survivors = passing(dim, bound, SCAN_STAGES)
-    assert survivors
-    for ws in survivors:
-        link = build_link(ws, dim)
-        assert isinstance(link, Link), ws
-        assert as_oracle_answer(link) == oracle_answers(dim, bound)[ws], ws
-
-
 def test_dim3_answer_follows_from_the_terminal_lemma():
     """Each step of the dimension-3 argument in the ``classify`` docstring."""
     triples = list(combinations_with_replacement(range(1, 61), 3))
@@ -311,7 +305,7 @@ def test_dim4_11cd_family_follows_from_the_wall_at_1():
     twos = [ws for ws in walls_terminal if ws in interior]
     assert twos == [(1, 1, 2, d) for d in range(2, 7)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in ones + twos)
-    assert [ws for ws in classify(4, 40).accepted if ws[:2] == (1, 1)] == ones + twos
+    assert [ws for ws in serial_run(4, 40).accepted if ws[:2] == (1, 1)] == ones + twos
 
 
 def test_dim4_122d_family_follows_from_the_wall_at_1():
@@ -337,7 +331,7 @@ def test_dim4_122d_family_follows_from_the_wall_at_1():
         assert not is_terminal_cqs(ws, V)
     accepted = [(1, 2, 2, 3), (1, 2, 2, 5)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
-    assert [ws for ws in classify(4, 40).accepted if ws[:3] == (1, 2, 2)] == accepted
+    assert [ws for ws in serial_run(4, 40).accepted if ws[:3] == (1, 2, 2)] == accepted
 
 
 def test_dim4_1bcc_wall_at_1_forces_b_2():
@@ -396,7 +390,7 @@ def test_dim4_1bcc_answer_is_1233_and_1255():
         assert antik_in_interior_mov(BlowupVariety(4, ws)), ws
     accepted = [(1, 2, 3, 3), (1, 2, 5, 5)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
-    assert [ws for ws in classify(4, 40).accepted if ws[0] == 1 < ws[1] < ws[2] == ws[3]] == accepted
+    assert [ws for ws in serial_run(4, 40).accepted if ws[0] == 1 < ws[1] < ws[2] == ws[3]] == accepted
 
 
 def test_dim4_abcc_shape_follows_from_the_chart_at_c():
@@ -418,7 +412,7 @@ def test_dim4_abcc_shape_follows_from_the_chart_at_c():
             terminal.append(ws)
     assert len(charts) == 206
     assert terminal == [(2, 3, 5, 5), (3, 5, 8, 8)]
-    assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] and ws[2] == ws[3]] == [(2, 3, 5, 5)]
+    assert [ws for ws in serial_run(4, 40).accepted if 1 < ws[0] and ws[2] == ws[3]] == [(2, 3, 5, 5)]
 
 
 # The (a, b, a + b, a + b) with 2 <= a < b and a + b <= 100.
@@ -559,7 +553,7 @@ def test_dim4_1bbd_answer_is_1334_and_1338():
             assert not chart.is_terminal
     accepted = [(1, 3, 3, 4), (1, 3, 3, 8)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
-    assert [ws for ws in classify(4, 40).accepted if ws[0] == 1 and 3 <= ws[1] == ws[2] < ws[3]] == accepted
+    assert [ws for ws in serial_run(4, 40).accepted if ws[0] == 1 and 3 <= ws[1] == ws[2] < ws[3]] == accepted
 
 
 # The (a, b, b, d) with 2 <= a < b < d <= 3b - a and b < 40: -K is interior.
@@ -654,7 +648,7 @@ def test_dim4_abbd_answer_is_2334_and_2556():
             assert sum(b // 2 * w % b for w in (-1, 2, 0, 1)) == b and not chart.is_terminal
     accepted = [(2, 3, 3, 4), (2, 5, 5, 6)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
-    assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] < ws[1] == ws[2] < ws[3]] == accepted
+    assert [ws for ws in serial_run(4, 40).accepted if 1 < ws[0] < ws[1] == ws[2] < ws[3]] == accepted
 
 
 # The (a, a, a + 1, d) with 2 <= a < 60 and a + 1 < d <= 2a + 4: -K is interior.
@@ -718,7 +712,7 @@ def test_dim4_aacd_answer_is_the_six_with_a_prime_to_d():
     accepted = [ws for ws in AACD_LEFT if gcd(ws[0], ws[3]) == 1]
     assert accepted == [(2, 2, 3, 5), (2, 2, 3, 7), (3, 3, 4, 5), (3, 3, 4, 10), (4, 4, 5, 7), (5, 5, 6, 8)]
     assert all(isinstance(build_link(ws, 4), Link) for ws in accepted)
-    assert [ws for ws in classify(4, 40).accepted if 1 < ws[0] == ws[1] == ws[2] - 1 < ws[3] - 1] == accepted
+    assert [ws for ws in serial_run(4, 40).accepted if 1 < ws[0] == ws[1] == ws[2] - 1 < ws[3] - 1] == accepted
 
 
 def _entries(field):
@@ -769,40 +763,6 @@ def test_dim4_links_at_bound_39_are_the_pinned_links():
     assert Counter(type(link.end) for link in links.values()) == {DivContraction: 416, Fibration: 5}
 
 
-@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
-def test_scan_drops_only_wall_rejections(dim, bound):
-    kept = {ws for ws, _ in _survivors(dim, bound, 1, bound)}
-    dropped = [ws for ws in passing(dim, bound, BLOWUP_STAGES) if ws not in kept]
-    assert dropped
-    for ws in dropped:
-        result = build_link(ws, dim)
-        assert isinstance(result, Rejected) and result.stage == STAGE_WALL, ws
-
-
-def test_p4_small_bound_contains_derived_set():
-    run = classify(4, 3)
-    expected = {
-        (1, 1, 1, 1),
-        (1, 1, 1, 2),
-        (1, 1, 2, 2),
-        (1, 1, 2, 3),
-        (1, 2, 2, 3),
-        (1, 2, 3, 3),
-    }
-    assert expected <= set(run.accepted)
-
-
-def test_accepted_sorted_and_ascending():
-    run = classify(4, 10)
-    assert list(run.accepted) == sorted(run.accepted)
-    assert all(tuple(sorted(ws)) == ws for ws in run.accepted)
-
-
-def test_shape_counts_sum_to_total():
-    run = classify(4, 16)
-    assert sum(run.shape_counts.values()) == len(run.accepted)
-
-
 def test_shape_buckets():
     assert shape_of((1, 1, 1, 2)) == "(1,1,1,d)"
     assert shape_of((1, 1, 2, 6)) == "(1,1,c,d)"
@@ -814,36 +774,13 @@ def test_shape_buckets():
     assert shape_of((1, 1, 2)) == "(1,1,d)"
 
 
-def test_stabilization_small_bound_fails():
-    # (1,2,5) is missing at bound 2 but present at bound 5
-    assert (1, 2, 5) not in classify(3, 2).accepted
-    assert (1, 2, 5) in classify(3, 5).accepted
-    assert classify_stable(3, 2)[1] is False
-
-
-def test_stabilization_p3():
-    assert classify_stable(3, 64)[1] is True
-
-
-def test_run_keeps_the_links_it_built():
-    run = classify(3, 64)
-    assert tuple(run.links) == run.accepted
-    for ws, link in run.links.items():
-        assert link == build_link(ws, 3)
-
-
-@cache
-def serial_run(dim, bound):
-    return classify(dim, bound)
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "dim, bound",
-    [(3, b) for b in range(2, 9)] + [(4, b) for b in range(2, 25)] + [(4, 39)],
+    [(3, b) for b in range(2, 9)] + [(3, 64)] + [(4, b) for b in range(2, 25)] + [(4, 39)],
 )
 def test_stable_flag_matches_two_independent_scans(two_cpus, dim, bound, jobs):
-    """False for dim 3 at bounds 2-4 and dim 4 up to 24; True for dim 3 from 5 and at 39.
+    """False for dim 3 at bounds 2-4 and dim 4 up to 24; True for dim 3 from 5 and dim 4 at 39.
 
     The stabilizing scan stops looking above the bound once it holds an
     accepted tuple there; the run and the flag are those of full scans.
@@ -929,14 +866,21 @@ def test_cut_scan_fetches_no_blowup_row_past_its_cut(monkeypatch):
     assert len(fetched) == 10080
 
 
-@pytest.mark.parametrize("dim, top, bounds", [(3, 64, range(2, 33)), (4, 24, (2, 5, 12))])
+@pytest.mark.parametrize("dim, top, bounds", [(3, 64, range(2, 41)), (4, 39, range(2, 25))])
 def test_scan_at_smaller_bound_is_the_larger_run_cut_to_it(dim, top, bounds):
     """Acceptance does not depend on the bound: a run at a bound is the run
-    at a larger one, with the tuples of top weight <= bound."""
-    run = classify(dim, top)
+    at a larger one, with the tuples of top weight <= bound, in its order.
+
+    So each dimension-4 run up to bound 24 is a cut of the pinned links at
+    39, and the dimension-3 run at 64, which holds nothing above 5, has the
+    links of the scan that the oracle test checks at 40.
+    """
+    run = serial_run(dim, top)
     for bound in bounds:
         links = {ws: link for ws, link in run.links.items() if ws[-1] <= bound}
-        assert classify(dim, bound) == ClassificationRun(dim, bound, links, 1)
+        small = serial_run(dim, bound)
+        assert small == ClassificationRun(dim, bound, links, 1)
+        assert small.accepted == tuple(links)
 
 
 def test_input_validation():
@@ -1180,28 +1124,15 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-@pytest.mark.parametrize("dim,bound", [(3, 40), (4, 16)])
-def test_two_processes_match_the_serial_scan(two_cpus, dim, bound, jobs):
-    """jobs - 1 children and the parent give the serial scan and its links, sorted."""
-    scan = _survivors(dim, bound, 1, bound)
-    assert [ws for ws, _ in scan] == sorted(ws for ws, _ in scan)
-    assert _survivors(dim, bound, jobs, bound) == scan
-    assert_no_process_left()
-    run, serial = classify(dim, bound, jobs=2), classify(dim, bound)
-    assert run.jobs == 2 and serial.jobs == 1
-    assert run == ClassificationRun(dim, bound, serial.links, 2)
-    assert_no_process_left()
-
-
-@pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("dim, top, bound", [(3, 40, 40), (4, 16, 16), (4, 32, 16)])
 def test_each_process_links_its_own_survivors(two_cpus, dim, top, bound, jobs):
     """The forked scan gives the serial survivors and links, and the cut scan its flag.
 
-    Each pair carries the ``Link`` that ``build_link`` gives its tuple.
-    Above the cut each process stops at its own first accepted tuple, so
-    only the pairs up to the cut, and whether one is above it, match the
-    serial scan.
+    jobs - 1 children and the parent scan.  Each pair carries the ``Link``
+    that ``build_link`` gives its tuple.  Above the cut each process stops
+    at its own first accepted tuple, so only the pairs up to the cut, and
+    whether one is above it, match the serial scan.  The run counts the
+    processes that scanned: ``two_cpus`` caps jobs 3 at 2.
     """
     serial = _survivors(dim, top, 1, bound)
     forked = _survivors(dim, top, jobs, bound)
@@ -1216,7 +1147,7 @@ def test_each_process_links_its_own_survivors(two_cpus, dim, top, bound, jobs):
     assert split(forked) == split(serial)
     run, flag = SCAN._classify(dim, bound, top, jobs)
     kept, stable = split(serial)
-    assert run.links == dict(kept)
+    assert run == ClassificationRun(dim, bound, dict(kept), 2)
     assert flag is stable is (top == bound)
     assert_no_process_left()
 

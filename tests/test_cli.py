@@ -154,14 +154,6 @@ class TestClassify:
         assert stab["result"]["accepted"] == plain["result"]["accepted"]
         assert stab["result"]["shape_counts"] == plain["result"]["shape_counts"]
 
-    @pytest.mark.parametrize("dim, bound, total", [(3, 64, 4), (4, 39, 421)])
-    def test_default_bound_is_per_dimension(self, scans, dim, bound, total):
-        code, doc = run_json(["classify", "--dim", str(dim)])
-        assert code == 0
-        assert scans == [(dim, bound, 1, bound)]
-        assert doc["inputs"]["bound"] == bound
-        assert doc["result"]["total"] == total
-
     def test_jobs_echoes_workers_started(self, monkeypatch):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         code, doc = run_json(["classify", "--dim", "3", "--bound", "8", "--jobs", "64"])
@@ -175,13 +167,18 @@ class TestClassify:
         assert "(1,2,5)" in text
 
 
-class TestReport:
-    @pytest.mark.parametrize("dim, bound", [(3, 64), (4, 39)])
-    def test_default_bound_is_per_dimension(self, scans, dim, bound):
-        code, _ = run_cli(["report", "--dim", str(dim)])
-        assert code == 0
-        assert scans == [(dim, bound, 1, bound)]
+@pytest.mark.parametrize("command", ["classify", "report"])
+@pytest.mark.parametrize("dim, bound, total", [(3, 64, 4), (4, 39, 421)])
+def test_default_bound_is_per_dimension(scans, dim, bound, total, command):
+    code, text = run_cli([command, "--dim", str(dim)])
+    assert code == 0
+    assert scans == [(dim, bound, 1, bound)]
+    if command == "classify":
+        doc = json.loads(text)
+        assert (doc["inputs"]["bound"], doc["result"]["total"]) == (bound, total)
 
+
+class TestReport:
     def test_dim4_bound39_report_is_pinned(self, two_cpus):
         """Forked on any host: the --jobs 2 ROUTE rows skip below 2 usable CPUs."""
         code, text = run_cli(["report", "--dim", "4", "--bound", "39", "--jobs", "2"])

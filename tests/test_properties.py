@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, prod
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,6 @@ from wblinks import (
     antik_degree,
     antik_in_interior_mov,
     build_link,
-    classify,
     is_terminal_blowup,
     is_terminal_cqs,
     is_terminal_wps,
@@ -190,20 +188,3 @@ def test_flip_sign_convention(ws):
             negated = tuple(-x for x in step.flip_weights)
             assert step.flip_weights.count(0) == negated.count(0)
             assert step.flip_weights.count(-1) >= 1
-
-
-@settings(max_examples=1000, deadline=None)
-@given(st.integers(2, 10), st.integers(0, 6))
-def test_classify_monotone_in_bound(bound, extra):
-    small = set(classify(3, bound).accepted)
-    large = set(classify(3, bound + extra).accepted)
-    assert small <= large
-
-
-@pytest.mark.parametrize("dim,bound", [(3, 10), (4, 6)])
-def test_classify_monotone_dense(dim, bound):
-    prev = set()
-    for b in range(2, bound + 1):
-        cur = set(classify(dim, b).accepted)
-        assert prev <= cur
-        prev = cur
