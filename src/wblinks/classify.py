@@ -33,9 +33,11 @@ another head and crosses neither the fork nor the cut.
 ``build_link`` re-checks the blowup and every wall with the scalar
 residue-sum loop, which shares no code with the packed test; both test
 each flip at its own entries > 1 (see ``is_terminal_wps``).  So a scan bug
-can only lose candidates, never add spurious ones; the pruned-vs-naive and
-scan-vs-literal-criterion tests guard the losing direction, and the
-packed-vs-scalar tests compare the two forms of the criterion.
+can only lose candidates, never add spurious ones.  The test
+``test_scan_gives_the_oracles_links_and_drops_only_wall_rejections`` guards
+the losing direction against an oracle that shares no code with the
+package, and the packed-vs-scalar tests compare the two forms of the
+criterion.
 """
 
 from __future__ import annotations

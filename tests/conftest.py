@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -58,15 +59,14 @@ def two_cpus(monkeypatch):
     writing {0, 1} would narrow a larger runner's real mask for the rest of
     the session, and moving onto CPU 1 fails on a one-CPU runner.  So
     ``os.sched_setaffinity`` only records its calls, and the fixture yields
-    that list of (pid, CPUs) pairs.  A forked child records into its own
-    copy, so the list holds the calling process's calls alone.
+    that list of (pid, CPUs) argument pairs.  A forked child records into
+    its own copy, so the list holds the calling process's calls alone.
 
     The deadline turns a hung scan into a failure; a forked child does not
     inherit the alarm.
     """
-    placed = []
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr("os.sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus))))
+    placed = watch(monkeypatch, "os.sched_setaffinity", lambda real, *args: None)
 
     def expire(signum, frame):
         raise TimeoutError("the scan did not finish within 60 s")
@@ -87,26 +87,61 @@ def assert_no_process_left():
 class PidLog:
     """A file that every process of a scan appends to, each line tagged with its pid.
 
-    A forked child's calls stay in the child, so a test that counts calls
-    across processes writes them here and reads them back by pid.
+    A forked child's calls stay in the child, so a test that records calls
+    across processes writes them here and reads them back by pid.  Each
+    line holds the ``repr`` of a Python literal.
     """
 
     def __init__(self, path):
         self.path = path
 
-    def write(self, text):
+    def write(self, value):
         with self.path.open("a") as fh:
-            fh.write(f"{os.getpid()} {text}\n")
+            fh.write(f"{os.getpid()} {value!r}\n")
 
-    def read(self, parse=str):
-        """{pid: [parse(text), ...]} in the order each process wrote them."""
+    def read(self):
+        """{pid: [value, ...]} in the order each process wrote them."""
         by_pid = {}
         for line in self.path.read_text().splitlines():
             pid, text = line.split(" ", 1)
-            by_pid.setdefault(int(pid), []).append(parse(text))
+            by_pid.setdefault(int(pid), []).append(ast.literal_eval(text))
         return by_pid
 
 
 @pytest.fixture
 def pid_log(tmp_path):
     return PidLog(tmp_path / "pids.log")
+
+
+def watch(monkeypatch, name, then=None, log=None):
+    """Patch ``SCAN.<name>``, or the function a dotted name such as
+    ``"os.fork"`` names, to record the arguments of each call.
+
+    Each call's argument tuple goes to the returned list, or, given a
+    ``PidLog``, to that log under the calling process's pid, so that a
+    forked child's calls reach the test too.  The call then goes through
+    to the function patched before, or to ``then(real, *args)``.  The list
+    keeps what it records alive, a scan's tables say, until it is cleared.
+    """
+    module, _, attr = name.rpartition(".")
+    owner = importlib.import_module(module) if module else SCAN
+    real, calls = getattr(owner, attr), []
+
+    def call(*args):
+        if log is None:
+            calls.append(args)
+        else:
+            log.write(args)
+        return real(*args) if then is None else then(real, *args)
+
+    monkeypatch.setattr(owner, attr, call)
+    return calls
+
+
+def raising(error, *details):
+    """A ``then`` for ``watch`` that raises ``error(*details)`` in place of each call."""
+
+    def then(real, *args):
+        raise error(*details)
+
+    return then

@@ -41,7 +41,7 @@ from wblinks.classify import (
 from wblinks.cli import end_summary
 from wblinks.link import STAGE_BLOWUP, STAGE_INTERIOR, STAGE_WALL
 from wblinks.singularity import _residue_table
-from conftest import ORACLE, SCAN, assert_no_process_left
+from conftest import ORACLE, SCAN, assert_no_process_left, raising, watch
 from reference import (
     CyclicQuotient,
     exceptional_patch_types,
@@ -139,35 +139,32 @@ def test_packed_wall_test_matches_scalar_on_every_blowup_survivor(
 
     The scan hands the wall test exactly its blowup survivors, each once:
     the oracle's, so a wrong range of c or d fails here even where the
-    walls would hide it.  Each packed answer is recorded during the scan
-    and compared with the scalar one after it.  It is also the answer of
-    ``reference.packed_walls_terminal``, which tests each flip at all its
-    entries without the memo.  A flip at a head weight v has the
-    head-only entry a - v > 1 for each head weight a > v + 1, and at_head
-    survivors fail the criterion at one of those (dimension 3 has none).
+    walls would hide it.  A plain scan links exactly the tuples that pass
+    its wall test, so its packed answers are read from its ``build_link``
+    calls and compared with the scalar ones after the scan.  They are also
+    the answers of ``reference.packed_walls_terminal`` on the recorded
+    tables, which tests each flip at all its entries without the memo.  A
+    flip at a head weight v has the head-only entry a - v > 1 for each head
+    weight a > v + 1, and at_head survivors fail the criterion at one of
+    those (dimension 3 has none).
     """
-    real = SCAN._walls_terminal
-    seen = []
-
-    def record(ws, tables, memo):
-        head = ws[:-2]
-        early = any(
-            not is_terminal_cqs([w - v for w in ws] + [-1, -v], a - v)
-            for v, a in combinations(head, 2) if a - v > 1
-        )
-        seen.append((ws, real(ws, tables, memo), packed_walls_terminal(ws, tables), early))
-        return seen[-1][1]
-
-    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    walls, links = watch(monkeypatch, "_walls_terminal"), watch(monkeypatch, "build_link")
     _survivors(dim, bound, 1, bound)
-    assert len(seen) == tested
-    assert tuple(sorted(ws for ws, *_ in seen)) == blowup_survivors(dim, bound)
-    for ws, packed, full, early in seen:
+    assert len(walls) == tested
+    assert tuple(sorted(ws for ws, *_ in walls)) == blowup_survivors(dim, bound)
+    linked = {ws for ws, _ in links}
+    early_fails = 0
+    for ws, tables, _ in walls:
         T = BlowupVariety(dim, ws)
         scalar = all(is_terminal_wps(wall_flip_weights(T, v)) for v in interior_walls(T))
-        assert packed == full == scalar, ws
-        assert not (early and packed), ws
-    assert sum(early for *_, early in seen) == at_head
+        assert (ws in linked) == packed_walls_terminal(ws, tables) == scalar, ws
+        early = any(
+            not is_terminal_cqs([w - v for w in ws] + [-1, -v], a - v)
+            for v, a in combinations(ws[:-2], 2) if a - v > 1
+        )
+        assert not (early and scalar), ws
+        early_fails += early
+    assert early_fails == at_head
 
 
 @pytest.mark.parametrize("dim,bound,tested,filled", [(4, 40, 21951, 3243), (5, 12, 11071, 2215)])
@@ -225,18 +222,14 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
     With every blowup table's mask set to 0 the packed blowup test passes
     every candidate, so the wall test sees each candidate the scan tests.
     """
-    real, tested = SCAN._residue_table, []
+    real = SCAN._residue_table
 
     def unmasked(r, n, top):
         P, K, _ = real(r, n, top)
         return P, K, 0
 
-    def record(ws, tables, memo):
-        tested.append(ws)
-        return False
-
     monkeypatch.setattr(SCAN, "_residue_table", unmasked)
-    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    tested = watch(monkeypatch, "_walls_terminal", lambda real, *args: False)
     SCAN._scan_partition(dim, bound, SCAN._partitions(dim, bound), bound)
     interior = [
         ws for ws in combinations_with_replacement(range(1, bound + 1), dim)
@@ -244,7 +237,7 @@ def test_row_rule_skips_only_candidates_that_fail_at_half_the_index(monkeypatch,
     ]
     skipped = [ws for ws in interior if (sum(ws) - 1) % 2 == 0 and sum(w % 2 for w in ws) < 3]
     assert len(skipped) == dropped
-    assert sorted(tested) == sorted(set(interior) - set(skipped))
+    assert sorted(ws for ws, *_ in tested) == sorted(set(interior) - set(skipped))
     for ws in skipped:
         V = sum(ws) - 1
         assert sum(V // 2 * w % V for w in ws) <= V, ws
@@ -825,13 +818,7 @@ def test_stabilize_scans_a_fraction_of_the_walls_above_an_unstable_bound(monkeyp
     The full scan at 32 tests 6,467 walls; the cut one, which scans every
     candidate up to 16 but stops above it at (1, 2, 5, 17), about 1,200.
     """
-    real, calls = SCAN._walls_terminal, []
-
-    def record(ws, tables, memo):
-        calls.append(ws)
-        return real(ws, tables, memo)
-
-    monkeypatch.setattr(SCAN, "_walls_terminal", record)
+    calls = watch(monkeypatch, "_walls_terminal")
     classify(4, 32)
     full = len(calls)
     calls.clear()
@@ -849,7 +836,7 @@ def test_cut_scan_fetches_no_blowup_row_past_its_cut(monkeypatch):
     with d <= 16, and the 32 rows of them, S = 33, ..., 64, are not
     fetched: 1,360 rows of the full scan's 10,080.
     """
-    real, fetched = SCAN._residue_table, []
+    fetched = []
 
     class Logged(tuple):
         def __iter__(self):
@@ -857,7 +844,7 @@ def test_cut_scan_fetches_no_blowup_row_past_its_cut(monkeypatch):
                 fetched.append(self)
             return super().__iter__()
 
-    monkeypatch.setattr(SCAN, "_residue_table", lambda r, n, top: Logged(real(r, n, top)))
+    watch(monkeypatch, "_residue_table", lambda real, *args: Logged(real(*args)))
     pairs = _survivors(4, 32, 1, 16)
     assert [ws for ws, _ in pairs if ws[-1] > 16] == [(1, 2, 5, 17)]
     assert len(pairs) == 229 and len(fetched) == 1360
@@ -909,12 +896,8 @@ def test_worker_count_keeps_the_tables_of_all_processes_within_the_budget(monkey
     inputs: no process is started.  --jobs 2 keeps both processes at
     (4, 40) and at the dimension-4 cap.
     """
-
-    def refuse():
-        raise AssertionError("a process was started")
-
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)))
-    monkeypatch.setattr("os.fork", refuse)
+    watch(monkeypatch, "os.fork", raising(AssertionError, "a process was started"))
     assert SCAN.SCAN_TABLES_BUDGET == 256 * 2**20
     for dim, bound, capped in [(3, 170, 6), (4, 130, 8), (3, 85, 51)]:
         n = worker_count(64, dim, bound)
@@ -961,11 +944,7 @@ def test_jobs_below_one_rejected(jobs):
 @pytest.fixture
 def no_scan(monkeypatch):
     """Fail the test if a scan starts."""
-
-    def refuse(dim, bound):
-        raise AssertionError(f"scan started at dim {dim}, bound {bound}")
-
-    monkeypatch.setattr(SCAN, "_partitions", refuse)
+    watch(monkeypatch, "_partitions", raising(AssertionError, "a scan started"))
 
 
 def test_non_integer_scan_inputs_raise_type_error(no_scan, monkeypatch):
@@ -1010,9 +989,26 @@ def test_stabilize_budget_applies_at_twice_the_bound(no_scan):
         classify_stable(3, 86)
 
 
-def test_budget_admits_dim4_bound_128_and_dim3_bound_160():
-    SCAN._check_scan(4, 128)
-    SCAN._check_scan(3, 160)
+def test_dim4_cap_is_the_last_bound_under_12m_interior_candidates():
+    """The ``MAX_BOUNDS`` comment: 11,922,812 candidates at 130, over 12 M at 131.
+
+    A candidate is (*head, c, d) with c in the range ``_scan_partition``
+    scans for each head and S = c + d: the ascending tuples that pass the
+    interior inequality.
+    """
+
+    def interior_candidates(dim, bound):
+        total = 0
+        for head in SCAN._partitions(dim, bound):
+            h = sum(head)
+            for S in range(2 * head[-1], 2 * bound + 1):
+                low = max(head[-1], S - bound, -(-(S + h) // (dim + 1)))
+                total += max(0, S // 2 - low + 1)
+        return total
+
+    assert MAX_BOUNDS[4] == 130
+    assert interior_candidates(4, 130) == 11_922_812 < 12_000_000
+    assert interior_candidates(4, 131) == 12_289_783
 
 
 def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
@@ -1029,10 +1025,6 @@ def test_admitted_bounds_are_2_to_170_in_dim3_and_2_to_130_in_dim4():
         assert admitted == expected.get(dim, []), dim
 
 
-def ints(text):
-    return tuple(map(int, text.split()))
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("dim,bound", [(3, 40), (4, 24)])
 def test_scan_builds_each_table_once(two_cpus, monkeypatch, pid_log, dim, bound, jobs):
@@ -1040,16 +1032,10 @@ def test_scan_builds_each_table_once(two_cpus, monkeypatch, pid_log, dim, bound,
 
     Every process logs its builds by pid, so the child's reach the test too.
     """
-    real = SCAN._residue_table
-
-    def record(r, n, top):
-        pid_log.write(f"{r} {n} {top}")
-        return real(r, n, top)
-
-    monkeypatch.setattr(SCAN, "_residue_table", record)
+    watch(monkeypatch, "_residue_table", log=pid_log)
     _survivors(dim, bound, jobs, bound)
     assert_no_process_left()
-    built = pid_log.read(ints)
+    built = pid_log.read()
     assert os.getpid() in built and len(built) == jobs
     for tables in built.values():
         assert tables == [(r, dim, bound) for r in range(2, dim * bound)]
@@ -1065,18 +1051,12 @@ def test_scan_links_each_returned_pair_once(two_cpus, monkeypatch, pid_log, dim,
     the cut as it finds them, up to its witness, and the ones at or below
     the cut after its scan; no survivor is linked twice.
     """
-    real = SCAN.build_link
-
-    def record(ws, n):
-        pid_log.write(" ".join(map(str, ws)))
-        return real(ws, n)
-
-    monkeypatch.setattr(SCAN, "build_link", record)
+    watch(monkeypatch, "build_link", log=pid_log)
     pairs = _survivors(dim, top, jobs, cut)
     assert_no_process_left()
-    linked = pid_log.read(ints)
+    linked = pid_log.read()
     assert os.getpid() in linked and len(linked) == jobs
-    calls = sorted(ws for share in linked.values() for ws in share)
+    calls = sorted(ws for share in linked.values() for ws, _ in share)
     assert calls == [ws for ws, _ in pairs]
     assert len(set(calls)) == len(calls)
     above = [ws for ws in calls if ws[-1] > cut]
@@ -1109,17 +1089,17 @@ def test_blowup_tables_cleared_when_a_scan_fails(monkeypatch):
     """A failed scan's memory is freed too.
 
     Its frames live in the traceback, so it is measured once the exception
-    is dropped.
+    is dropped, and the record of the failing call, which holds the
+    tables, once it is cleared.
     """
-
-    def fail(ws, tables, memo):
-        raise RuntimeError("wall test failed")
+    calls = watch(monkeypatch, "_walls_terminal", raising(RuntimeError, "wall test failed"))
 
     def failing_scan():
         with pytest.raises(RuntimeError, match="wall test failed"):
             _survivors(4, 40, 1, 40)
+        assert len(calls) == 1
+        calls.clear()
 
-    monkeypatch.setattr(SCAN, "_walls_terminal", fail)
     assert held_after_scan(failing_scan) < 0.25
 
 
@@ -1158,16 +1138,14 @@ def faulty(monkeypatch, name, where, fault):
     Elsewhere the call goes through to the function patched before, which
     for ``os.sched_setaffinity`` is the ``two_cpus`` recorder.
     """
-    owner, attr = (os, name[3:]) if name.startswith("os.") else (SCAN, name)
-    real, parent, calls = getattr(owner, attr), os.getpid(), []
+    parent = os.getpid()
 
-    def call(*args):
-        calls.append(args)
+    def then(real, *args):
         if where in ("parent" if os.getpid() == parent else "child", len(calls)):
             raise fault(*args)
         return real(*args)
 
-    monkeypatch.setattr(owner, attr, call)
+    calls = watch(monkeypatch, name, then)
 
 
 def open_fds():
@@ -1218,63 +1196,43 @@ def test_a_scan_fault_leaves_no_process_descriptor_or_narrowed_mask(two_cpus, mo
     assert getattr(exc.value, "errno", None) == code
     assert_no_process_left()
     assert open_fds() == before
-    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})][: 2 if name == "os.fork" else 3]
+    assert two_cpus == [(0, [0]), (0, [0, 1]), (0, [0, 1])][: 2 if name == "os.fork" else 3]
 
 
 def test_each_process_starts_on_its_own_cpu(two_cpus, monkeypatch, pid_log):
     """The parent starts on the first CPU and child i on CPU i mod 2, then each allows both.
 
-    A serial scan makes no affinity call.  Every process logs its calls by
-    pid, since a child's calls stay in the child.
+    Process i scans the heads ``heads[i::3]``, so its share names it.  The
+    forked scan runs first, then the serial one, which makes no affinity
+    call.  Every process logs its calls by pid, since a child's calls stay
+    in the child.
     """
-
-    def place(pid, cpus):
-        pid_log.write(str(sorted(cpus)))
-
-    real, children = os.fork, []
-
-    def fork():
-        pid = real()
-        if pid:
-            children.append(pid)
-        return pid
-
-    monkeypatch.setattr("os.sched_setaffinity", place)
-    monkeypatch.setattr(os, "fork", fork)
-    serial = _survivors(4, 16, 1, 16)
-    assert not pid_log.path.exists()
-    assert _survivors(4, 16, 3, 16) == serial
+    heads = SCAN._partitions(4, 16)
+    share = [(4, 16, heads[i::3], 16) for i in range(3)]
+    watch(monkeypatch, "os.sched_setaffinity", log=pid_log)
+    watch(monkeypatch, "_scan_partition", log=pid_log)
+    assert _survivors(4, 16, 3, 16) == _survivors(4, 16, 1, 16)
     assert_no_process_left()
     calls = pid_log.read()
-    assert calls.pop(os.getpid()) == ["[0]", "[0, 1]", "[0, 1]"]
-    assert [calls.pop(pid) for pid in children] == [["[1]", "[0, 1]"], ["[0]", "[0, 1]"]]
-    assert calls == {}
+    serial = (4, 16, heads, 16)
+    assert calls.pop(os.getpid()) == [(0, [0]), (0, [0, 1]), share[0], (0, [0, 1]), serial]
+    by_share = {share.index(log[-1]): log for log in calls.values()}
+    assert by_share == {i: [(0, [i % 2]), (0, [0, 1]), share[i]] for i in (1, 2)}
 
 
 def test_a_refused_placement_leaves_the_scan_alone(two_cpus, monkeypatch):
     """An OSError from placement, in the parent or a child, changes nothing."""
-
-    def refuse(pid, cpus):
-        two_cpus.append((pid, set(cpus)))
-        raise OSError(errno.EINVAL, "no such CPU")
-
-    monkeypatch.setattr("os.sched_setaffinity", refuse)
+    placed = watch(monkeypatch, "os.sched_setaffinity", raising(OSError, errno.EINVAL, "no such CPU"))
     assert _survivors(4, 16, 2, 16) == _survivors(4, 16, 1, 16)
     assert_no_process_left()
-    assert two_cpus == [(0, {0}), (0, {0, 1}), (0, {0, 1})]
+    assert placed == [(0, [0]), (0, [0, 1]), (0, [0, 1])]
 
 
 def test_a_platform_without_placement_still_forks(two_cpus, monkeypatch):
-    real, forks = os.fork, []
-
-    def fork():
-        forks.append(1)
-        return real()
-
     monkeypatch.delattr("os.sched_setaffinity")
-    monkeypatch.setattr(os, "fork", fork)
+    forks = watch(monkeypatch, "os.fork")
     assert _survivors(4, 16, 2, 16) == _survivors(4, 16, 1, 16)
-    assert forks == [1]
+    assert forks == [()]
     assert_no_process_left()
 
 

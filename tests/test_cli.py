@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from wblinks.cli import CLOSED_STDOUT, main
-from conftest import SCAN, assert_no_process_left
+from conftest import assert_no_process_left, watch
 from test_acceptance import P4_SHAPE_COUNTS
 
 PINNED_P4 = Path(__file__).parent / "data" / "p4_bound39.csv"
@@ -24,15 +24,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 @pytest.fixture
 def scans(monkeypatch):
     """Record each scan as (dim, bound, jobs, cut) and run it serially."""
-    real = SCAN._survivors
-    calls = []
-
-    def record(dim, bound, jobs, cut):
-        calls.append((dim, bound, jobs, cut))
-        return real(dim, bound, 1, cut)
-
-    monkeypatch.setattr(SCAN, "_survivors", record)
-    return calls
+    return watch(monkeypatch, "_survivors", lambda real, dim, bound, jobs, cut: real(dim, bound, 1, cut))
 
 
 def run_cli(argv):
@@ -252,8 +244,7 @@ def test_refused_input_exits_2_before_any_work(argv, message, scans, capsys, mon
     No scan starts, the residue-sum criterion never runs and no file or
     directory is made.
     """
-    sums = []
-    monkeypatch.setattr("wblinks.singularity._residue_sums_exceed", lambda *a: sums.append(a))
+    sums = watch(monkeypatch, "wblinks.singularity._residue_sums_exceed")
     started = time.perf_counter()
     code, text = run_cli([arg.replace(TMP, str(tmp_path)) for arg in argv.split()])
     assert time.perf_counter() - started < 1.0
